@@ -11,24 +11,30 @@
 //
 // Instrumented code holds a `Tracer*` that is null until an observer
 // attaches; every hook is a branch on that pointer, so an untraced run
-// pays nothing else.  Two storage modes:
+// pays nothing else, and swapping the pointer to null is the only way to
+// pause recording.
 //
-//  * Full mode (default): every event is retained verbatim (std::string
-//    name/category, one mutex around the log).  Exact, unbounded, and
-//    byte-stable — the golden-trace suite pins its JSON output.
-//  * Ring mode (construct with RingOptions): each track owns a fixed
-//    capacity single-producer/single-consumer ring of 32-byte compact
-//    events over interned name IDs.  record = a relaxed enabled check, a
-//    deterministic 1-in-N sampling branch, and (if sampled) a clock read
-//    plus one ring slot write — no allocation, no lock, no string.  When a
-//    ring fills, the newest events are dropped and counted; always-on
-//    per-track counters (span count, sampled span nanoseconds, drops) stay
-//    exact regardless of sampling.  TraceStreamWriter drains rings
-//    incrementally so arbitrarily long runs export in bounded memory.
+// Storage: each track owns a single-producer/single-consumer ring of
+// 32-byte compact events over interned name IDs.  A record call is a
+// deterministic 1-in-N sampling branch on an always-on per-track counter
+// and, if sampled, a clock read plus one ring slot write — no lock, no
+// string.  The always-on counters (span count, span nanoseconds) stay
+// exact whatever the sampling rate.  Two capacity policies share that one
+// path:
 //
-// Ring-mode concurrency contract: each track is recorded by at most one
-// thread at a time (ranks, shards and links already have per-owner
-// tracks); the drainer may run concurrently with all producers.
+//  * Tracer(clock) / Tracer(): every event is kept (sample_every = 1), a
+//    full ring doubles, and the open-span slot pool grows.  The exported
+//    JSON is byte-stable — the golden-trace suite pins it.
+//  * Tracer(clock, RingOptions): bounded, preallocated rings that drop the
+//    newest events when full (counted per track) and never allocate while
+//    recording; TraceStreamWriter drains them incrementally so arbitrarily
+//    long runs export in bounded memory.
+//
+// Concurrency contract: each track is recorded by at most one thread at a
+// time (ranks, shards and links already have per-owner tracks); a
+// TraceStreamWriter may drain concurrently with all producers.
+// snapshot(), write_json() and event_count() also read the open-span
+// slots, so call them at a quiescent point.
 #pragma once
 
 #include <atomic>
@@ -66,18 +72,20 @@ struct TraceEvent {
   TrackId track = 0;
   EventKind kind = EventKind::kSpan;
   std::int64_t start_ns = 0;
-  std::int64_t dur_ns = 0;  ///< spans only; -1 while still open
+  std::int64_t dur_ns = 0;  ///< spans only
   double value = 0.0;       ///< counters only
+  /// Per-track record order (a begin/end span counts where it began);
+  /// breaks export ties so nested spans sharing start and duration come
+  /// out parent-first.
+  std::uint32_t seq = 0;
   std::string name;
   std::string category;
 
-  bool open() const { return kind == EventKind::kSpan && dur_ns < 0; }
-  std::int64_t end_ns() const { return start_ns + (dur_ns < 0 ? 0 : dur_ns); }
+  std::int64_t end_ns() const { return start_ns + dur_ns; }
 };
 
-/// Handle for an open span.  Full mode: index into the event log.  Ring
-/// mode: tagged (track, open-slot) pair.  An invalid id (disabled tracer,
-/// unsampled span, slot pool exhausted) makes end_span a no-op.
+/// Handle for an open span: a (track, open-slot) pair.  An invalid id
+/// (unsampled span, bounded slot pool exhausted) makes end_span a no-op.
 struct SpanId {
   std::size_t index = std::numeric_limits<std::size_t>::max();
   bool valid() const {
@@ -85,8 +93,10 @@ struct SpanId {
   }
 };
 
-/// Bounded-memory tracing knobs; passing this to the Tracer constructor
-/// selects ring mode.
+/// Bounded-memory tracing knobs.  Passing them to the Tracer constructor
+/// fixes every capacity up front: the record path then never allocates,
+/// and what does not fit is dropped and counted.  (The default tracer
+/// keeps everything instead; see the file comment.)
 struct RingOptions {
   /// Events retained per track; rounded up to a power of two.  A full ring
   /// drops the newest events (counted per track).
@@ -113,7 +123,9 @@ struct CompactEvent {
   NameId name = kNoName;
   NameId category = kNoName;
   EventKind kind = EventKind::kSpan;
+  std::uint32_t seq = 0;  ///< TraceEvent::seq, in the padding after kind
 };
+static_assert(sizeof(CompactEvent) == 32);
 
 /// Single-writer counter bump: the atomic is for the exporter's benefit,
 /// but only the track's owner thread stores it, so this is a plain
@@ -126,9 +138,9 @@ inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t d = 1) {
 /// Always-on per-track totals, preallocated as one dense array (two tracks
 /// per cache line) so the sampled-away record path — which touches nothing
 /// but these — stays cache-resident even with dozens of live tracks.  The
-/// per-kind totals double as the sampling phase.  Single-writer per track
-/// (the ring-mode concurrency contract); 32-byte aligned so an entry never
-/// straddles a line.
+/// per-kind totals double as the sampling phase, and their sum as the
+/// record sequence.  Single-writer per track (the concurrency contract);
+/// 32-byte aligned so an entry never straddles a line.
 struct alignas(32) HotCounters {
   std::atomic<std::uint64_t> spans_total{0};
   std::atomic<std::uint64_t> instants_total{0};
@@ -136,40 +148,86 @@ struct alignas(32) HotCounters {
   // Busy nanoseconds: exact for complete_span (duration known before the
   // sampling gate); begin/end spans contribute only when sampled.
   std::atomic<std::uint64_t> span_ns_total{0};
+
+  /// Record calls so far on this track, truncated to the event's seq.
+  std::uint32_t seq() const {
+    return static_cast<std::uint32_t>(
+        spans_total.load(std::memory_order_relaxed) +
+        instants_total.load(std::memory_order_relaxed) +
+        counters_total.load(std::memory_order_relaxed));
+  }
 };
 
-/// Single-producer/single-consumer bounded event ring plus the producer's
+/// One power-of-two slot array.  A growing ring publishes a bigger one and
+/// keeps the old alive, because a concurrent drainer may still read it.
+struct RingBuffer {
+  explicit RingBuffer(std::size_t capacity)
+      : slots(std::make_unique<CompactEvent[]>(capacity)),
+        mask(capacity - 1) {}
+  std::unique_ptr<CompactEvent[]> slots;
+  std::size_t mask;
+};
+
+/// Single-producer/single-consumer event ring plus the producer's
 /// open-span slot pool and drop accounting for one track.  Only reached on
 /// the sampled (1-in-N) path — the always-on totals live in the dense
 /// HotCounters array instead, so a sampled-away event never pulls a ring
 /// header into cache.
 struct TrackRing {
-  explicit TrackRing(const RingOptions& opts);
+  TrackRing(const RingOptions& opts, bool growable);
 
   // Producer side (the track's owner thread).
   bool push(const CompactEvent& ev) {
     const std::uint64_t h = head.load(std::memory_order_relaxed);
-    const std::uint64_t t = tail.load(std::memory_order_acquire);
-    if (h - t >= buf.size()) {
-      // Drop-newest keeps the ring a coherent prefix of each track's
-      // history and never blocks the producer.
-      bump(dropped_ring_full);
-      return false;
+    RingBuffer* b = buf.load(std::memory_order_relaxed);
+    if (h - tail.load(std::memory_order_acquire) > b->mask) {
+      if (!growable) {
+        // Drop-newest keeps the ring a coherent prefix of each track's
+        // history and never blocks the producer.
+        bump(dropped_ring_full);
+        return false;
+      }
+      b = grow(h);
     }
-    buf[static_cast<std::size_t>(h) & mask] = ev;
+    b->slots[static_cast<std::size_t>(h) & b->mask] = ev;
     head.store(h + 1, std::memory_order_release);
     bump(sampled_events);
     return true;
   }
 
+  /// Doubles the full buffer: copies the live entries, publishes the copy
+  /// (before the head store that exposes the next event) and retires the
+  /// old one until the tracer dies.
+  RingBuffer* grow(std::uint64_t h);
+
   std::uint32_t claim_slot() {
-    if (free_slots.empty()) return kNoSlot;
+    if (free_slots.empty()) {
+      if (!growable) return kNoSlot;
+      open.emplace_back();
+      return static_cast<std::uint32_t>(open.size() - 1);
+    }
     const std::uint32_t slot = free_slots.back();
     free_slots.pop_back();
     return slot;
   }
 
-  void release_slot(std::uint32_t slot) { free_slots.push_back(slot); }
+  void release_slot(std::uint32_t slot) {
+    open[slot].live = false;
+    free_slots.push_back(slot);
+  }
+
+  /// Calls fn on every event in [tail, head) and returns head; the caller
+  /// decides whether to consume by storing it to tail.
+  template <typename Fn>
+  std::uint64_t read(Fn&& fn) const {
+    std::uint64_t lo = tail.load(std::memory_order_relaxed);
+    const std::uint64_t hi = head.load(std::memory_order_acquire);
+    const RingBuffer* b = buf.load(std::memory_order_acquire);
+    for (; lo != hi; ++lo) {
+      fn(b->slots[static_cast<std::size_t>(lo) & b->mask]);
+    }
+    return hi;
+  }
 
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
@@ -177,10 +235,12 @@ struct TrackRing {
     std::int64_t start_ns = 0;
     NameId name = kNoName;
     NameId category = kNoName;
+    std::uint32_t seq = 0;
+    bool live = false;
   };
 
-  std::vector<CompactEvent> buf;
-  std::size_t mask = 0;
+  const bool growable;
+  std::atomic<RingBuffer*> buf{nullptr};
   // Producer line: the head index, slot pool and sampled/drop accounting,
   // padded away from tail so the consumer's tail stores never invalidate
   // it.  Single-writer relaxed atomics (see bump()).
@@ -190,41 +250,50 @@ struct TrackRing {
   std::atomic<std::uint64_t> sampled_events{0};
   std::atomic<std::uint64_t> dropped_ring_full{0};
   std::atomic<std::uint64_t> dropped_no_slot{0};
+  std::vector<std::unique_ptr<RingBuffer>> buffers;  // current + retired
   // Consumer-owned: advanced by the drainer.
   alignas(64) std::atomic<std::uint64_t> tail{0};
 };
 
-/// Lock-free track -> ring lookup table, republished (RCU-style) when a
-/// track is added; retired tables stay alive until the tracer dies so a
-/// concurrent reader never touches freed memory.
-struct RingTable {
-  TrackRing* const* rings = nullptr;
-  std::size_t count = 0;
+/// Export-time lane packing, shared by write_json and TraceStreamWriter:
+/// spans that only nest share lane 0; a span that partially overlaps every
+/// open lane of its track gets a fresh lane.  Each (track, lane) pair
+/// becomes one exported tid, so every exported timeline is properly nested
+/// and Chrome renders it without warnings.
+class LaneAllocator {
+ public:
+  /// Lane for `ev` (0 for instants and counters).  Feed events in export
+  /// order: by track, then start time, outermost first.
+  int assign(const TraceEvent& ev);
+  /// Lanes opened on `track` so far.
+  std::size_t lanes(TrackId track) const {
+    return track < open_ends_.size() ? open_ends_[track].size() : 0;
+  }
+
+ private:
+  // [track][lane]: stack of enclosing span ends.
+  std::vector<std::vector<std::vector<std::int64_t>>> open_ends_;
 };
 
 }  // namespace detail
 
 class Tracer {
  public:
-  /// Full-fidelity tracer stamped by `clock`; the clock must outlive the
-  /// tracer.  Retains every event verbatim.
-  explicit Tracer(const ClockSource& clock) : clock_(&clock) {}
+  /// Tracer stamped by `clock` (which must outlive it) that keeps every
+  /// event: rings grow, nothing is sampled away or dropped.  Registers up
+  /// to 65,536 tracks.
+  explicit Tracer(const ClockSource& clock) : Tracer(&clock, nullptr) {}
 
-  /// Ring-mode tracer: bounded per-track rings, interned names, sampling.
+  /// Bounded tracer: preallocated per-track rings, sampling, drop-newest.
   Tracer(const ClockSource& clock, const RingOptions& opts)
-      : clock_(&clock), ring_opts_(opts), ring_mode_(true) {
-    init_ring_mode();
-  }
+      : Tracer(&clock, &opts) {}
 
   /// Clockless tracer: only complete_span/instant_at with explicit
   /// timestamps are meaningful (e.g. post-hoc Gantt export).
-  Tracer() = default;
+  Tracer() : Tracer(nullptr, nullptr) {}
 
-  /// Clockless ring-mode tracer (explicit-timestamp record calls only).
-  explicit Tracer(const RingOptions& opts)
-      : ring_opts_(opts), ring_mode_(true) {
-    init_ring_mode();
-  }
+  /// Clockless bounded tracer (explicit-timestamp record calls only).
+  explicit Tracer(const RingOptions& opts) : Tracer(nullptr, &opts) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -242,108 +311,95 @@ class Tracer {
   /// Resolves an interned id (registry lookup under the intern mutex).
   std::string name_of(NameId id) const;
 
-  bool ring_mode() const { return ring_mode_; }
-
-  /// Master record switch.  While disabled every record call returns after
-  /// one relaxed atomic load — the "attached but idle" state benched in
-  /// BENCH_OBS.  Export and track registration still work.
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
   std::int64_t now_ns() const { return clock_ ? clock_->now_ns() : 0; }
 
-  /// Opens a span at the current clock time.  end_span() closes it; a span
-  /// never closed is exported with zero duration (full mode) or dropped at
-  /// destruction (ring mode).
-  SpanId begin_span(TrackId track, std::string name,
-                    std::string category = {}) {
-    if (!enabled()) return SpanId{};
-    return begin_span_slow(track, std::move(name), std::move(category));
-  }
+  // Every record call comes in two forms: by interned NameId (the hot
+  // path) and by string, which interns and forwards.
+
+  /// Opens a span at the current clock time.  end_span() closes it;
+  /// snapshot() and write_json() report a still-open span closed at their
+  /// own clock time.
   SpanId begin_span(TrackId track, NameId name, NameId category = kNoName) {
-    if (!enabled()) return SpanId{};
-    if (!ring_mode_) return begin_span_id(track, name, category);
+    detail::HotCounters& h = hot(track);
     // Sampled-away spans are counted and nothing else: no clock read, no
     // slot claim, no ring lookup; the invalid id makes end_span a no-op.
-    if (!tick(hot(track).spans_total)) return SpanId{};
-    return begin_span_sampled(track, ring(track), name, category);
+    if (!tick(h.spans_total)) return SpanId{};
+    return begin_span_sampled(track, h.seq(), name, category);
+  }
+  SpanId begin_span(TrackId track, std::string_view name,
+                    std::string_view category = {}) {
+    return begin_span(track, intern(name), intern(category));
   }
   void end_span(SpanId id) {
-    if (!id.valid()) return;
-    end_span_impl(id);
+    if (id.valid()) end_span_sampled(id);
   }
 
   /// Records an already-finished span with explicit timestamps.
-  void complete_span(TrackId track, std::string name, std::string category,
-                     std::int64_t start_ns, std::int64_t dur_ns) {
-    if (!enabled()) return;
-    complete_span_slow(track, std::move(name), std::move(category), start_ns,
-                       dur_ns);
-  }
   void complete_span(TrackId track, NameId name, NameId category,
                      std::int64_t start_ns, std::int64_t dur_ns) {
-    if (!enabled()) return;
-    if (!ring_mode_) {
-      complete_span_id(track, name, category, start_ns, dur_ns);
-      return;
-    }
     POLARIS_DCHECK(dur_ns >= 0);
     detail::HotCounters& h = hot(track);
     // Duration is already known here, so the busy-ns counter stays exact
     // for every completed span even when the event itself is sampled away.
     detail::bump(h.span_ns_total, static_cast<std::uint64_t>(dur_ns));
     if (!tick(h.spans_total)) return;
-    ring(track).push({start_ns, dur_ns, name, category, EventKind::kSpan});
+    ring(track).push(
+        {start_ns, dur_ns, name, category, EventKind::kSpan, h.seq()});
+  }
+  void complete_span(TrackId track, std::string_view name,
+                     std::string_view category, std::int64_t start_ns,
+                     std::int64_t dur_ns) {
+    complete_span(track, intern(name), intern(category), start_ns, dur_ns);
   }
 
   /// Point event at the current clock time.
-  void instant(TrackId track, std::string name, std::string category = {}) {
-    if (!enabled()) return;
-    instant_at_slow(track, std::move(name), std::move(category), now_ns());
-  }
   void instant(TrackId track, NameId name, NameId category = kNoName) {
-    if (!enabled()) return;
-    if (!ring_mode_) {
-      instant_at_id(track, name, category, now_ns());
-      return;
-    }
-    if (!tick(hot(track).instants_total)) return;
+    detail::HotCounters& h = hot(track);
+    if (!tick(h.instants_total)) return;
     // Clock read and ring lookup only behind the sampling gate.
-    ring(track).push({now_ns(), 0, name, category, EventKind::kInstant});
+    ring(track).push({now_ns(), 0, name, category, EventKind::kInstant,
+                      h.seq()});
   }
-  void instant_at(TrackId track, std::string name, std::string category,
+  void instant(TrackId track, std::string_view name,
+               std::string_view category = {}) {
+    instant(track, intern(name), intern(category));
+  }
+
+  /// Point event at an explicit time.
+  void instant_at(TrackId track, NameId name, NameId category,
                   std::int64_t at_ns) {
-    if (!enabled()) return;
-    instant_at_slow(track, std::move(name), std::move(category), at_ns);
+    detail::HotCounters& h = hot(track);
+    if (!tick(h.instants_total)) return;
+    ring(track).push({at_ns, 0, name, category, EventKind::kInstant,
+                      h.seq()});
+  }
+  void instant_at(TrackId track, std::string_view name,
+                  std::string_view category, std::int64_t at_ns) {
+    instant_at(track, intern(name), intern(category), at_ns);
   }
 
   /// Samples a counter series (rendered as a stacked area in the viewer).
-  void counter(TrackId track, std::string name, double value) {
-    if (!enabled()) return;
-    counter_slow(track, std::move(name), value);
-  }
   void counter(TrackId track, NameId name, double value) {
-    if (!enabled()) return;
-    if (!ring_mode_) {
-      counter_id(track, name, value);
-      return;
-    }
-    detail::bump(hot(track).counters_total);
+    detail::HotCounters& h = hot(track);
+    detail::bump(h.counters_total);
     ring(track).push({
         now_ns(),
         static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
-        name, kNoName, EventKind::kCounter});
+        name, kNoName, EventKind::kCounter, h.seq()});
+  }
+  void counter(TrackId track, std::string_view name, double value) {
+    counter(track, intern(name), value);
   }
 
+  /// Events snapshot() would return: undrained ring entries plus open
+  /// spans.
   std::size_t event_count() const;
   std::size_t track_count() const;
 
-  /// Snapshot of the event log; open spans are closed at the current clock
-  /// time so analysis never sees negative durations.  Ring mode: decodes
-  /// the rings without consuming them (events already drained by a
-  /// TraceStreamWriter are gone; still-open spans are not included).
+  /// Decodes the rings without consuming them (events already drained by
+  /// a TraceStreamWriter are gone), each track's events in record order.
+  /// Open spans are included, closed at the current clock time so analysis
+  /// never sees negative durations.
   std::vector<TraceEvent> snapshot() const;
 
   struct Track {
@@ -352,14 +408,14 @@ class Tracer {
   };
   std::vector<Track> tracks() const;
 
-  /// Chrome trace-event JSON ({"traceEvents": [...]}), one event per line,
-  /// sorted by start time within each exported lane.  Ring mode: streams
-  /// the current (undrained) ring contents; use TraceStreamWriter to
-  /// export more events than the rings hold.
+  /// Chrome trace-event JSON ({"traceEvents": [...]}) of snapshot():
+  /// process and thread metadata first, then one event per line, sorted by
+  /// start time within each exported lane.  Repeatable and non-consuming;
+  /// to export more events than bounded rings hold, attach a
+  /// TraceStreamWriter and drain as the run progresses.
   void write_json(std::ostream& os) const;
 
-  /// Aggregate record-path accounting (ring mode; full mode fills the
-  /// event/track counts only).  Used by tests and the BENCH_OBS
+  /// Aggregate record-path accounting.  Used by tests and the BENCH_OBS
   /// steady-state allocation check: interned_names and
   /// ring_capacity_events must not move between warmup and steady state.
   struct Stats {
@@ -380,35 +436,25 @@ class Tracer {
  private:
   friend class TraceStreamWriter;
 
-  SpanId begin_span_slow(TrackId track, std::string name,
-                         std::string category);
-  SpanId begin_span_id(TrackId track, NameId name, NameId category);
-  SpanId begin_span_sampled(TrackId track, detail::TrackRing& r, NameId name,
+  /// The growing tracer's track limit (its HotCounters array: 2 MiB).
+  static constexpr std::size_t kGrowingMaxTracks = std::size_t{1} << 16;
+
+  /// Bounded tracer, or the growing one when `opts` is null.
+  Tracer(const ClockSource* clock, const RingOptions* opts);
+
+  SpanId begin_span_sampled(TrackId track, std::uint32_t seq, NameId name,
                             NameId category);
-  void end_span_impl(SpanId id);
-  void complete_span_slow(TrackId track, std::string name,
-                          std::string category, std::int64_t start_ns,
-                          std::int64_t dur_ns);
-  void complete_span_id(TrackId track, NameId name, NameId category,
-                        std::int64_t start_ns, std::int64_t dur_ns);
-  void instant_at_slow(TrackId track, std::string name, std::string category,
-                       std::int64_t at_ns);
-  void instant_at_id(TrackId track, NameId name, NameId category,
-                     std::int64_t at_ns);
-  void counter_slow(TrackId track, std::string name, double value);
-  void counter_id(TrackId track, NameId name, double value);
+  void end_span_sampled(SpanId id);
 
   detail::TrackRing& ring(TrackId track) const {
-    const detail::RingTable* table =
-        ring_table_.load(std::memory_order_acquire);
-    POLARIS_CHECK(table != nullptr && track < table->count);
-    return *table->rings[track];
+    POLARIS_CHECK(track < ring_count_.load(std::memory_order_acquire));
+    return *ring_ptrs_[track];
   }
 
-  /// Dense always-on counters for a track (ring mode; preallocated for
-  /// max_tracks at construction, so the pointer never moves).
+  /// Dense always-on counters for a track (preallocated for max_tracks at
+  /// construction, so the pointer never moves).
   detail::HotCounters& hot(TrackId track) const {
-    POLARIS_DCHECK(hot_ != nullptr && track < ring_opts_.max_tracks);
+    POLARIS_DCHECK(track < ring_opts_.max_tracks);
     return hot_[track];
   }
 
@@ -420,46 +466,40 @@ class Tracer {
     return (seen & sample_mask_) == 0;
   }
 
-  NameId intern_locked(std::string_view s);
   TraceEvent decode(TrackId track, const detail::CompactEvent& ev) const;
-  /// Allocates the dense counter array and derives the sampling mask
-  /// (sample_every rounded up to a power of two).
-  void init_ring_mode();
 
   const ClockSource* clock_ = nullptr;
   RingOptions ring_opts_;
-  bool ring_mode_ = false;
-  std::atomic<bool> enabled_{true};
+  bool growable_ = false;
   // Record-path hot members, grouped: the sampling mask and the dense
-  // counter array base are read on every ring-mode record call.
+  // counter array base are read on every record call.
   std::uint64_t sample_mask_ = 0;
   std::unique_ptr<detail::HotCounters[]> hot_;
 
   mutable std::mutex mu_;
   std::vector<Track> tracks_;
-  std::vector<TraceEvent> events_;  // full mode only
 
-  // Name interning (both modes; ids resolve to strings at export).
   mutable std::mutex intern_mu_;
   std::vector<std::string> names_{std::string()};  // names_[0] == ""
   std::unordered_map<std::string, NameId> name_ids_;
 
-  // Ring mode: address-stable rings plus an RCU-republished lookup table
-  // so record() never takes mu_.
+  // Address-stable rings plus a lookup array preallocated for max_tracks:
+  // add_track fills slot n before publishing ring_count_ = n + 1, so a
+  // record call or drainer never takes mu_ and never sees a moving array.
   std::deque<detail::TrackRing> rings_;
-  std::atomic<detail::RingTable*> ring_table_{nullptr};
-  std::vector<std::unique_ptr<detail::RingTable>> retired_tables_;
-  std::vector<std::unique_ptr<detail::TrackRing*[]>> retired_arrays_;
-  std::atomic<std::uint64_t> drained_events_{0};
+  std::unique_ptr<detail::TrackRing*[]> ring_ptrs_;
+  std::atomic<std::size_t> ring_count_{0};
+  std::atomic<std::uint64_t> drained_{0};
 };
 
-/// Streams a ring-mode tracer's events to Chrome trace JSON in bounded
-/// memory: construct (writes the header), call drain() as often as desired
-/// while producers are still recording (each call consumes the rings), and
-/// finish() once they quiesce.  Thread/process metadata is emitted inline
-/// the first time a track (or overflow lane) appears, so the output is
-/// deterministic for deterministic per-track event streams regardless of
-/// how record work was spread over threads.
+/// Streams a tracer's events to Chrome trace JSON in bounded memory:
+/// construct (writes the header), call drain() as often as desired while
+/// producers are still recording (each call consumes the rings), and
+/// finish() once they quiesce.  Only closed spans are exported.
+/// Thread/process metadata is emitted inline the first time a track (or
+/// overflow lane) appears, so the output is deterministic for
+/// deterministic per-track event streams regardless of how record work was
+/// spread over threads.
 class TraceStreamWriter {
  public:
   TraceStreamWriter(Tracer& tracer, std::ostream& os);
@@ -475,39 +515,27 @@ class TraceStreamWriter {
   std::size_t events_written() const { return events_written_; }
 
  private:
-  friend class Tracer;
-
-  struct LaneState {
-    std::vector<std::int64_t> open_ends;
-    bool announced = false;
-  };
-
-  /// consume=false reads rings without advancing their tails (the
-  /// repeatable Tracer::write_json convenience path).
-  TraceStreamWriter(Tracer& tracer, std::ostream& os, bool consume);
-
   void emit_event(const TraceEvent& ev);
-  void announce_lane(TrackId track, int lane);
   int pid_of_track(TrackId track);
-  int tid_of(TrackId track, int lane);
 
   Tracer* tracer_;
   std::ostream* os_;
-  bool consume_ = true;
   bool first_ = true;
   bool finished_ = false;
   std::size_t events_written_ = 0;
   std::unordered_map<std::string, int> pids_;
-  std::vector<int> track_pid_;                 // -1 = not yet announced
-  std::vector<std::vector<LaneState>> lanes_;  // per track
-  std::vector<TraceEvent> batch_;              // reused scratch
+  std::vector<int> track_pid_;  // -1 = not yet announced
+  detail::LaneAllocator lanes_;
+  std::vector<std::size_t> announced_lanes_;  // per track
+  std::vector<TraceEvent> batch_;             // reused scratch
 };
 
-/// FNV-1a fingerprint of the tracer's exported JSON (write_json byte
-/// stream).  Two runs that produced the same trace hash to the same value
-/// on every platform — the cheap "did these runs behave identically?"
-/// check the scenario runner's determinism verdicts are built on.  Ring
-/// mode hashes the current (undrained) ring contents, like write_json.
+/// Byte-wise FNV-1a of the tracer's exported JSON (write_json byte
+/// stream), from a fixed seed other than the standard offset basis.  Two
+/// runs that produced the same trace hash to the same value on every
+/// platform — the cheap "did these runs behave identically?" check the
+/// scenario runner's determinism verdicts and the golden-trace tests are
+/// built on.
 std::uint64_t trace_hash(const Tracer& tracer);
 
 /// RAII span; a null tracer makes every operation a no-op, so call sites
@@ -516,12 +544,10 @@ std::uint64_t trace_hash(const Tracer& tracer);
 class ScopedSpan {
  public:
   ScopedSpan() = default;
-  ScopedSpan(Tracer* tracer, TrackId track, std::string name,
-             std::string category = {})
+  ScopedSpan(Tracer* tracer, TrackId track, std::string_view name,
+             std::string_view category = {})
       : tracer_(tracer) {
-    if (tracer_) {
-      id_ = tracer_->begin_span(track, std::move(name), std::move(category));
-    }
+    if (tracer_) id_ = tracer_->begin_span(track, name, category);
   }
   ScopedSpan(Tracer* tracer, TrackId track, NameId name,
              NameId category = kNoName)

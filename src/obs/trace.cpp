@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "polaris/support/check.hpp"
+#include "polaris/support/hash.hpp"
 
 namespace polaris::obs {
 
@@ -17,71 +18,104 @@ std::uint64_t round_up_pow2(std::uint64_t v) {
   return std::bit_ceil(v);
 }
 
-// Ring-mode SpanId encoding: tag bit | track | open slot.
-constexpr std::size_t kRingSpanBit = std::size_t{1} << 63;
+// The growing tracer's starting ring capacity: small, since most tracks stay
+// short.
+constexpr std::size_t kGrowingRingEvents = 64;
 
-std::size_t encode_ring_span(TrackId track, std::uint32_t slot) {
-  return kRingSpanBit | (static_cast<std::size_t>(track) << 32) | slot;
+// SpanId encoding: track | open slot.
+std::size_t encode_span(TrackId track, std::uint32_t slot) {
+  return (static_cast<std::size_t>(track) << 32) | slot;
+}
+
+/// trace_hash's seed: the 64-bit FNV offset basis 14695981039346656037
+/// with its last digit dropped, as first written.  Every pinned trace hash
+/// was computed from it, so it stays.
+constexpr std::uint64_t kTraceHashSeed = 1469598103934665603ull;
+
+/// True when `a` was recorded before `b` on the same track; wrap-safe for
+/// events fewer than 2^31 record calls apart.
+bool recorded_before(std::uint32_t a, std::uint32_t b) {
+  return static_cast<std::int32_t>(a - b) < 0;
 }
 
 }  // namespace
 
 namespace detail {
 
-TrackRing::TrackRing(const RingOptions& opts) {
-  const std::uint64_t cap = round_up_pow2(opts.ring_capacity);
-  buf.resize(static_cast<std::size_t>(cap));
-  mask = static_cast<std::size_t>(cap - 1);
-  const std::uint32_t slots = opts.open_span_slots > 0
-                                  ? opts.open_span_slots
-                                  : 1;
-  open.resize(slots);
-  free_slots.reserve(slots);
-  for (std::uint32_t s = slots; s > 0; --s) free_slots.push_back(s - 1);
+TrackRing::TrackRing(const RingOptions& opts, bool growable)
+    : growable(growable) {
+  buffers.push_back(std::make_unique<RingBuffer>(
+      static_cast<std::size_t>(round_up_pow2(opts.ring_capacity))));
+  buf.store(buffers.back().get(), std::memory_order_relaxed);
+  open.resize(opts.open_span_slots);
+  free_slots.reserve(opts.open_span_slots);
+  for (std::uint32_t s = opts.open_span_slots; s > 0; --s) {
+    free_slots.push_back(s - 1);
+  }
+}
+
+RingBuffer* TrackRing::grow(std::uint64_t h) {
+  const RingBuffer& old = *buffers.back();
+  auto bigger = std::make_unique<RingBuffer>(2 * (old.mask + 1));
+  // Entries below the drainer's current tail may be copied needlessly;
+  // every entry it has yet to read is copied.
+  for (std::uint64_t i = tail.load(std::memory_order_acquire); i != h; ++i) {
+    bigger->slots[static_cast<std::size_t>(i) & bigger->mask] =
+        old.slots[static_cast<std::size_t>(i) & old.mask];
+  }
+  RingBuffer* published = bigger.get();
+  buffers.push_back(std::move(bigger));
+  buf.store(published, std::memory_order_release);
+  return published;
+}
+
+int LaneAllocator::assign(const TraceEvent& ev) {
+  if (ev.kind != EventKind::kSpan) return 0;
+  if (open_ends_.size() <= ev.track) open_ends_.resize(ev.track + 1);
+  auto& track_lanes = open_ends_[ev.track];
+  std::size_t lane = 0;
+  for (; lane < track_lanes.size(); ++lane) {
+    auto& open = track_lanes[lane];
+    while (!open.empty() && open.back() <= ev.start_ns) open.pop_back();
+    if (open.empty() || ev.end_ns() <= open.back()) break;
+  }
+  if (lane == track_lanes.size()) track_lanes.emplace_back();
+  track_lanes[lane].push_back(ev.end_ns());
+  return static_cast<int>(lane);
 }
 
 }  // namespace detail
 
-Tracer::~Tracer() = default;
-
-void Tracer::init_ring_mode() {
+Tracer::Tracer(const ClockSource* clock, const RingOptions* opts)
+    : clock_(clock),
+      ring_opts_(opts ? *opts
+                      : RingOptions{.ring_capacity = kGrowingRingEvents,
+                                    .sample_every = 1,
+                                    .open_span_slots = 0,
+                                    .max_tracks = kGrowingMaxTracks}),
+      growable_(opts == nullptr) {
   POLARIS_CHECK(ring_opts_.max_tracks > 0);
   sample_mask_ = round_up_pow2(ring_opts_.sample_every) - 1;
   hot_ = std::make_unique<detail::HotCounters[]>(ring_opts_.max_tracks);
+  ring_ptrs_ = std::make_unique<detail::TrackRing*[]>(ring_opts_.max_tracks);
 }
+
+Tracer::~Tracer() = default;
 
 TrackId Tracer::add_track(std::string process, std::string name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK_MSG(!ring_mode_ || tracks_.size() < ring_opts_.max_tracks,
+  POLARIS_CHECK_MSG(tracks_.size() < ring_opts_.max_tracks,
                     "RingOptions::max_tracks exceeded");
   tracks_.push_back(Track{std::move(process), std::move(name)});
   const auto id = static_cast<TrackId>(tracks_.size() - 1);
-  if (ring_mode_) {
-    rings_.emplace_back(ring_opts_);
-    // Republish the lookup table; the old one is retired, not freed, so a
-    // concurrent recording thread can keep using the pointer it loaded.
-    const std::size_t n = rings_.size();
-    auto arr = std::make_unique<detail::TrackRing*[]>(n);
-    std::size_t i = 0;
-    for (detail::TrackRing& r : rings_) arr[i++] = &r;
-    auto table = std::make_unique<detail::RingTable>();
-    table->rings = arr.get();
-    table->count = n;
-    detail::RingTable* published = table.get();
-    retired_arrays_.push_back(std::move(arr));
-    retired_tables_.push_back(std::move(table));
-    ring_table_.store(published, std::memory_order_release);
-  }
+  ring_ptrs_[id] = &rings_.emplace_back(ring_opts_, growable_);
+  ring_count_.store(id + std::size_t{1}, std::memory_order_release);
   return id;
 }
 
 NameId Tracer::intern(std::string_view s) {
-  const std::lock_guard<std::mutex> lock(intern_mu_);
-  return intern_locked(s);
-}
-
-NameId Tracer::intern_locked(std::string_view s) {
   if (s.empty()) return kNoName;
+  const std::lock_guard<std::mutex> lock(intern_mu_);
   if (auto it = name_ids_.find(std::string(s)); it != name_ids_.end()) {
     return it->second;
   }
@@ -99,210 +133,45 @@ std::string Tracer::name_of(NameId id) const {
 
 // ------------------------------------------------------------ record paths
 //
-// The NameId ring-mode fast paths live inline in the header; what remains
-// here is the full-mode retained log, the string-interning conveniences,
-// and the sampled tail of begin_span (slot claim + clock read).
+// The sampling gate and ring push live inline in the header; what remains
+// here is the sampled tail of begin/end_span (slot pool + clock read).
 
-SpanId Tracer::begin_span_slow(TrackId track, std::string name,
-                               std::string category) {
-  if (ring_mode_) {
-    NameId n, c;
-    {
-      const std::lock_guard<std::mutex> lock(intern_mu_);
-      n = intern_locked(name);
-      c = intern_locked(category);
-    }
-    return begin_span_id(track, n, c);
-  }
-  const std::int64_t t = now_ns();
-  const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK(track < tracks_.size());
-  TraceEvent ev;
-  ev.track = track;
-  ev.kind = EventKind::kSpan;
-  ev.start_ns = t;
-  ev.dur_ns = -1;  // open
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  events_.push_back(std::move(ev));
-  return SpanId{events_.size() - 1};
-}
-
-SpanId Tracer::begin_span_id(TrackId track, NameId name, NameId category) {
-  if (!ring_mode_) {
-    return begin_span_slow(track, name_of(name), name_of(category));
-  }
-  if (!tick(hot(track).spans_total)) return SpanId{};
-  return begin_span_sampled(track, ring(track), name, category);
-}
-
-SpanId Tracer::begin_span_sampled(TrackId track, detail::TrackRing& r,
+SpanId Tracer::begin_span_sampled(TrackId track, std::uint32_t seq,
                                   NameId name, NameId category) {
+  detail::TrackRing& r = ring(track);
   const std::uint32_t slot = r.claim_slot();
   if (slot == detail::TrackRing::kNoSlot) {
     detail::bump(r.dropped_no_slot);
     return SpanId{};
   }
-  detail::TrackRing::OpenSpan& o = r.open[slot];
-  o.start_ns = now_ns();
-  o.name = name;
-  o.category = category;
-  return SpanId{encode_ring_span(track, slot)};
+  r.open[slot] = {now_ns(), name, category, seq, /*live=*/true};
+  return SpanId{encode_span(track, slot)};
 }
 
-void Tracer::end_span_impl(SpanId id) {
-  if (ring_mode_ && (id.index & kRingSpanBit) != 0) {
-    const auto track = static_cast<TrackId>((id.index >> 32) & 0x7fffffffu);
-    const auto slot = static_cast<std::uint32_t>(id.index & 0xffffffffu);
-    detail::TrackRing& r = ring(track);
-    POLARIS_CHECK(slot < r.open.size());
-    const detail::TrackRing::OpenSpan o = r.open[slot];
-    r.release_slot(slot);
-    const std::int64_t dur = std::max<std::int64_t>(now_ns() - o.start_ns, 0);
-    detail::bump(hot(track).span_ns_total, static_cast<std::uint64_t>(dur));
-    detail::CompactEvent ev;
-    ev.start_ns = o.start_ns;
-    ev.aux = dur;
-    ev.name = o.name;
-    ev.category = o.category;
-    ev.kind = EventKind::kSpan;
-    r.push(ev);
-    return;
-  }
-  const std::int64_t t = now_ns();
-  const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK(id.index < events_.size());
-  TraceEvent& ev = events_[id.index];
-  POLARIS_CHECK_MSG(ev.open(), "end_span on a closed span");
-  ev.dur_ns = t - ev.start_ns;
-}
-
-void Tracer::complete_span_slow(TrackId track, std::string name,
-                                std::string category, std::int64_t start_ns,
-                                std::int64_t dur_ns) {
-  if (ring_mode_) {
-    NameId n, c;
-    {
-      const std::lock_guard<std::mutex> lock(intern_mu_);
-      n = intern_locked(name);
-      c = intern_locked(category);
-    }
-    complete_span_id(track, n, c, start_ns, dur_ns);
-    return;
-  }
-  POLARIS_CHECK(dur_ns >= 0);
-  const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK(track < tracks_.size());
-  TraceEvent ev;
-  ev.track = track;
-  ev.kind = EventKind::kSpan;
-  ev.start_ns = start_ns;
-  ev.dur_ns = dur_ns;
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  events_.push_back(std::move(ev));
-}
-
-void Tracer::complete_span_id(TrackId track, NameId name, NameId category,
-                              std::int64_t start_ns, std::int64_t dur_ns) {
-  if (!ring_mode_) {
-    complete_span_slow(track, name_of(name), name_of(category), start_ns,
-                       dur_ns);
-    return;
-  }
-  POLARIS_CHECK(dur_ns >= 0);
-  detail::HotCounters& h = hot(track);
-  detail::bump(h.span_ns_total, static_cast<std::uint64_t>(dur_ns));
-  if (!tick(h.spans_total)) return;
-  ring(track).push({start_ns, dur_ns, name, category, EventKind::kSpan});
-}
-
-void Tracer::instant_at_slow(TrackId track, std::string name,
-                             std::string category, std::int64_t at_ns) {
-  if (ring_mode_) {
-    NameId n, c;
-    {
-      const std::lock_guard<std::mutex> lock(intern_mu_);
-      n = intern_locked(name);
-      c = intern_locked(category);
-    }
-    instant_at_id(track, n, c, at_ns);
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK(track < tracks_.size());
-  TraceEvent ev;
-  ev.track = track;
-  ev.kind = EventKind::kInstant;
-  ev.start_ns = at_ns;
-  ev.dur_ns = 0;
-  ev.name = std::move(name);
-  ev.category = std::move(category);
-  events_.push_back(std::move(ev));
-}
-
-void Tracer::instant_at_id(TrackId track, NameId name, NameId category,
-                           std::int64_t at_ns) {
-  if (!ring_mode_) {
-    instant_at_slow(track, name_of(name), name_of(category), at_ns);
-    return;
-  }
-  if (!tick(hot(track).instants_total)) return;
-  ring(track).push({at_ns, 0, name, category, EventKind::kInstant});
-}
-
-void Tracer::counter_slow(TrackId track, std::string name, double value) {
-  if (ring_mode_) {
-    NameId n;
-    {
-      const std::lock_guard<std::mutex> lock(intern_mu_);
-      n = intern_locked(name);
-    }
-    counter_id(track, n, value);
-    return;
-  }
-  const std::int64_t t = now_ns();
-  const std::lock_guard<std::mutex> lock(mu_);
-  POLARIS_CHECK(track < tracks_.size());
-  TraceEvent ev;
-  ev.track = track;
-  ev.kind = EventKind::kCounter;
-  ev.start_ns = t;
-  ev.dur_ns = 0;
-  ev.value = value;
-  ev.name = std::move(name);
-  events_.push_back(std::move(ev));
-}
-
-void Tracer::counter_id(TrackId track, NameId name, double value) {
-  if (!ring_mode_) {
-    counter_slow(track, name_of(name), value);
-    return;
-  }
-  detail::bump(hot(track).counters_total);
-  ring(track).push({now_ns(),
-                    static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
-                    name, kNoName, EventKind::kCounter});
+void Tracer::end_span_sampled(SpanId id) {
+  const auto track = static_cast<TrackId>(id.index >> 32);
+  const auto slot = static_cast<std::uint32_t>(id.index & 0xffffffffu);
+  detail::TrackRing& r = ring(track);
+  POLARIS_CHECK(slot < r.open.size() && r.open[slot].live);
+  const detail::TrackRing::OpenSpan o = r.open[slot];
+  r.release_slot(slot);
+  const std::int64_t dur = std::max<std::int64_t>(now_ns() - o.start_ns, 0);
+  detail::bump(hot(track).span_ns_total, static_cast<std::uint64_t>(dur));
+  r.push({o.start_ns, dur, o.name, o.category, EventKind::kSpan, o.seq});
 }
 
 // ----------------------------------------------------------------- readers
 
 std::size_t Tracer::event_count() const {
-  if (ring_mode_) {
-    std::size_t n = 0;
-    const detail::RingTable* table =
-        ring_table_.load(std::memory_order_acquire);
-    if (!table) return 0;
-    for (std::size_t t = 0; t < table->count; ++t) {
-      const detail::TrackRing& r = *table->rings[t];
-      n += static_cast<std::size_t>(
-          r.head.load(std::memory_order_acquire) -
-          r.tail.load(std::memory_order_relaxed));
-    }
-    return n;
+  std::size_t n = 0;
+  const std::size_t rings = ring_count_.load(std::memory_order_acquire);
+  for (std::size_t t = 0; t < rings; ++t) {
+    const detail::TrackRing& r = *ring_ptrs_[t];
+    n += static_cast<std::size_t>(r.head.load(std::memory_order_acquire) -
+                                  r.tail.load(std::memory_order_relaxed));
+    n += r.open.size() - r.free_slots.size();
   }
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
+  return n;
 }
 
 std::size_t Tracer::track_count() const {
@@ -322,33 +191,35 @@ TraceEvent Tracer::decode(TrackId track,
   } else {
     out.dur_ns = ev.kind == EventKind::kSpan ? ev.aux : 0;
   }
+  out.seq = ev.seq;
   out.name = name_of(ev.name);
   out.category = name_of(ev.category);
   return out;
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
-  if (ring_mode_) {
-    std::vector<TraceEvent> out;
-    const detail::RingTable* table =
-        ring_table_.load(std::memory_order_acquire);
-    if (!table) return out;
-    for (std::size_t t = 0; t < table->count; ++t) {
-      const detail::TrackRing& r = *table->rings[t];
-      std::uint64_t lo = r.tail.load(std::memory_order_relaxed);
-      const std::uint64_t hi = r.head.load(std::memory_order_acquire);
-      for (; lo != hi; ++lo) {
-        out.push_back(decode(static_cast<TrackId>(t),
-                             r.buf[static_cast<std::size_t>(lo) & r.mask]));
-      }
+  std::vector<TraceEvent> out;
+  const std::size_t rings = ring_count_.load(std::memory_order_acquire);
+  const std::int64_t now = now_ns();
+  for (std::size_t t = 0; t < rings; ++t) {
+    const auto track = static_cast<TrackId>(t);
+    const detail::TrackRing& r = *ring_ptrs_[t];
+    const std::size_t first = out.size();
+    r.read([&](const detail::CompactEvent& ev) {
+      out.push_back(decode(track, ev));
+    });
+    for (const detail::TrackRing::OpenSpan& o : r.open) {
+      if (!o.live) continue;
+      out.push_back(decode(
+          track, {o.start_ns, std::max<std::int64_t>(now - o.start_ns, 0),
+                  o.name, o.category, EventKind::kSpan, o.seq}));
     }
-    return out;
-  }
-  const std::int64_t t = now_ns();
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out = events_;
-  for (TraceEvent& ev : out) {
-    if (ev.open()) ev.dur_ns = std::max<std::int64_t>(t - ev.start_ns, 0);
+    // Rings hold begin/end spans in end order; report them where they
+    // began.
+    std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(first),
+                     out.end(), [](const TraceEvent& a, const TraceEvent& b) {
+                       return recorded_before(a.seq, b.seq);
+                     });
   }
   return out;
 }
@@ -361,35 +232,15 @@ std::vector<Tracer::Track> Tracer::tracks() const {
 Tracer::Stats Tracer::stats() const {
   Stats s;
   s.track_count = track_count();
-  if (!ring_mode_) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const TraceEvent& ev : events_) {
-      switch (ev.kind) {
-        case EventKind::kSpan:
-          ++s.spans_total;
-          break;
-        case EventKind::kInstant:
-          ++s.instants_total;
-          break;
-        case EventKind::kCounter:
-          ++s.counters_total;
-          break;
-      }
-    }
-    s.sampled_events = s.spans_total + s.instants_total + s.counters_total;
-    return s;
-  }
   {
     const std::lock_guard<std::mutex> lock(intern_mu_);
     s.interned_names = names_.size();
   }
-  s.drained_events = drained_events_.load(std::memory_order_relaxed);
-  const detail::RingTable* table =
-      ring_table_.load(std::memory_order_acquire);
-  if (!table) return s;
-  for (std::size_t t = 0; t < table->count; ++t) {
-    const detail::TrackRing& r = *table->rings[t];
-    const detail::HotCounters& h = hot_[t];
+  s.drained_events = drained_.load(std::memory_order_relaxed);
+  const std::size_t rings = ring_count_.load(std::memory_order_acquire);
+  for (std::size_t t = 0; t < rings; ++t) {
+    const detail::TrackRing& r = *ring_ptrs_[t];
+    const detail::HotCounters& h = hot(static_cast<TrackId>(t));
     s.spans_total += h.spans_total.load(std::memory_order_relaxed);
     s.instants_total += h.instants_total.load(std::memory_order_relaxed);
     s.counters_total += h.counters_total.load(std::memory_order_relaxed);
@@ -398,7 +249,7 @@ Tracer::Stats Tracer::stats() const {
     s.dropped_ring_full +=
         r.dropped_ring_full.load(std::memory_order_relaxed);
     s.dropped_no_slot += r.dropped_no_slot.load(std::memory_order_relaxed);
-    s.ring_capacity_events += r.buf.size();
+    s.ring_capacity_events += r.buf.load(std::memory_order_acquire)->mask + 1;
   }
   return s;
 }
@@ -497,28 +348,37 @@ void write_event(std::ostream& os, const TraceEvent& ev, int pid, int tid,
 
 constexpr int kMaxLanesPerTrack = 64;
 
-/// Sort key shared by the retained-log and streaming exporters: by track,
-/// then start time, longer spans first so parents precede children.
+/// Exported tid of a (track, lane): lanes of one track are adjacent.
+int tid_of(TrackId track, int lane) {
+  return static_cast<int>(track) * kMaxLanesPerTrack +
+         std::min(lane, kMaxLanesPerTrack - 1);
+}
+
+/// Lane 0 keeps the track's name; extra lanes get a ~n suffix.
+void write_lane_metadata(std::ostream& os, int pid, TrackId track,
+                         const std::string& track_name, int lane,
+                         bool* first) {
+  std::string name = track_name;
+  if (lane > 0) name += " ~" + std::to_string(lane);
+  write_metadata(os, "thread_name", pid, tid_of(track, lane), name,
+                 tid_of(track, lane), first);
+}
+
+/// Export order shared by both exporters: by track, then start time,
+/// longer spans first so parents precede children, then record order so
+/// nested spans sharing start and duration also come out parent-first.
 bool event_order(const TraceEvent& a, const TraceEvent& b) {
   if (a.track != b.track) return a.track < b.track;
   if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-  return a.dur_ns > b.dur_ns;
+  if (a.dur_ns != b.dur_ns) return a.dur_ns > b.dur_ns;
+  return recorded_before(a.seq, b.seq);
 }
 
 }  // namespace
 
 void Tracer::write_json(std::ostream& os) const {
-  if (ring_mode_) {
-    // Bounded by ring capacity; a non-consuming convenience wrapper over
-    // the streaming path (repeatable, const).  For runs bigger than the
-    // rings, attach a TraceStreamWriter and drain as the run progresses.
-    TraceStreamWriter writer(const_cast<Tracer&>(*this), os,
-                             /*consume=*/false);
-    writer.drain();
-    writer.finish();
-    return;
-  }
-  const std::vector<TraceEvent> events = snapshot();
+  std::vector<TraceEvent> events = snapshot();
+  std::stable_sort(events.begin(), events.end(), event_order);
   const std::vector<Track> tracks = this->tracks();
 
   // Process name -> pid, in first-registration order.
@@ -532,53 +392,14 @@ void Tracer::write_json(std::ostream& os) const {
     track_pid[i] = it->second;
   }
 
-  // Sort span/instant event indices per track by start time (counters are
-  // emitted in recorded order; the viewer interpolates the series anyway).
-  std::vector<std::size_t> order(events.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return event_order(events[a], events[b]);
-                   });
-
-  // Lane allocation: spans that only nest share lane 0; a span that
-  // partially overlaps every open lane gets a fresh lane.  Each (track,
-  // lane) pair becomes one exported tid, so every exported timeline is
-  // properly nested and Chrome renders it without warnings.
-  struct Lane {
-    std::vector<std::int64_t> open_ends;  // stack of enclosing span ends
-  };
-  std::vector<std::vector<Lane>> lanes(tracks.size());
+  detail::LaneAllocator lanes;
   std::vector<int> event_lane(events.size(), 0);
-  for (const std::size_t i : order) {
-    const TraceEvent& ev = events[i];
-    if (ev.kind != EventKind::kSpan) continue;
-    auto& track_lanes = lanes[ev.track];
-    int lane = -1;
-    for (std::size_t l = 0; l < track_lanes.size(); ++l) {
-      auto& open = track_lanes[l].open_ends;
-      while (!open.empty() && open.back() <= ev.start_ns) open.pop_back();
-      if (open.empty() || ev.end_ns() <= open.back()) {
-        lane = static_cast<int>(l);
-        break;
-      }
-    }
-    if (lane < 0) {
-      track_lanes.emplace_back();
-      lane = static_cast<int>(track_lanes.size()) - 1;
-    }
-    track_lanes[static_cast<std::size_t>(lane)].open_ends.push_back(
-        ev.end_ns());
-    event_lane[i] = lane;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    event_lane[i] = lanes.assign(events[i]);
   }
 
-  // tid assignment: lanes of one track are adjacent; lane 0 keeps the
-  // track's name, extra lanes get a ~n suffix.
-  auto tid_of = [&](TrackId track, int lane) {
-    return static_cast<int>(track) * kMaxLanesPerTrack +
-           std::min(lane, kMaxLanesPerTrack - 1);
-  };
-
+  // Metadata first — every process, then every lane of every track — so
+  // the viewer has all names before the first event.
   os << "{\"traceEvents\":[\n";
   bool first = true;
   for (int pid = 0; pid < static_cast<int>(pid_names.size()); ++pid) {
@@ -586,19 +407,15 @@ void Tracer::write_json(std::ostream& os) const {
                        std::size_t>(pid)], pid, &first);
   }
   for (std::size_t t = 0; t < tracks.size(); ++t) {
-    const std::size_t n_lanes = std::max<std::size_t>(lanes[t].size(), 1);
+    const auto track = static_cast<TrackId>(t);
+    const std::size_t n_lanes = std::max<std::size_t>(lanes.lanes(track), 1);
     for (std::size_t l = 0; l < n_lanes; ++l) {
-      std::string name = tracks[t].name;
-      if (l > 0) name += " ~" + std::to_string(l);
-      write_metadata(os, "thread_name", track_pid[t],
-                     tid_of(static_cast<TrackId>(t), static_cast<int>(l)),
-                     name, tid_of(static_cast<TrackId>(t),
-                                  static_cast<int>(l)),
-                     &first);
+      write_lane_metadata(os, track_pid[t], track, tracks[t].name,
+                          static_cast<int>(l), &first);
     }
   }
 
-  for (const std::size_t i : order) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& ev = events[i];
     write_event(os, ev, track_pid[ev.track], tid_of(ev.track, event_lane[i]),
                 &first);
@@ -609,22 +426,11 @@ void Tracer::write_json(std::ostream& os) const {
 // ------------------------------------------------------- streaming export
 
 TraceStreamWriter::TraceStreamWriter(Tracer& tracer, std::ostream& os)
-    : TraceStreamWriter(tracer, os, /*consume=*/true) {}
-
-TraceStreamWriter::TraceStreamWriter(Tracer& tracer, std::ostream& os,
-                                     bool consume)
-    : tracer_(&tracer), os_(&os), consume_(consume) {
-  POLARIS_CHECK_MSG(tracer.ring_mode(),
-                    "TraceStreamWriter requires a ring-mode tracer");
+    : tracer_(&tracer), os_(&os) {
   *os_ << "{\"traceEvents\":[\n";
 }
 
 TraceStreamWriter::~TraceStreamWriter() { finish(); }
-
-int TraceStreamWriter::tid_of(TrackId track, int lane) {
-  return static_cast<int>(track) * kMaxLanesPerTrack +
-         std::min(lane, kMaxLanesPerTrack - 1);
-}
 
 int TraceStreamWriter::pid_of_track(TrackId track) {
   if (track < track_pid_.size() && track_pid_[track] >= 0) {
@@ -643,44 +449,18 @@ int TraceStreamWriter::pid_of_track(TrackId track) {
   return it->second;
 }
 
-void TraceStreamWriter::announce_lane(TrackId track, int lane) {
-  if (lanes_.size() <= track) lanes_.resize(track + 1);
-  auto& track_lanes = lanes_[track];
-  if (track_lanes.size() <= static_cast<std::size_t>(lane)) {
-    track_lanes.resize(static_cast<std::size_t>(lane) + 1);
-  }
-  LaneState& state = track_lanes[static_cast<std::size_t>(lane)];
-  if (state.announced) return;
-  state.announced = true;
-  const int pid = pid_of_track(track);
-  std::string name = tracer_->tracks()[track].name;
-  if (lane > 0) name += " ~" + std::to_string(lane);
-  write_metadata(*os_, "thread_name", pid, tid_of(track, lane), name,
-                 tid_of(track, lane), &first_);
-}
-
 void TraceStreamWriter::emit_event(const TraceEvent& ev) {
-  int lane = 0;
-  if (ev.kind == EventKind::kSpan) {
-    if (lanes_.size() <= ev.track) lanes_.resize(ev.track + 1);
-    auto& track_lanes = lanes_[ev.track];
-    lane = -1;
-    for (std::size_t l = 0; l < track_lanes.size(); ++l) {
-      auto& open = track_lanes[l].open_ends;
-      while (!open.empty() && open.back() <= ev.start_ns) open.pop_back();
-      if (open.empty() || ev.end_ns() <= open.back()) {
-        lane = static_cast<int>(l);
-        break;
-      }
-    }
-    if (lane < 0) {
-      track_lanes.emplace_back();
-      lane = static_cast<int>(track_lanes.size()) - 1;
-    }
-    track_lanes[static_cast<std::size_t>(lane)].open_ends.push_back(
-        ev.end_ns());
+  const int lane = lanes_.assign(ev);
+  if (announced_lanes_.size() <= ev.track) {
+    announced_lanes_.resize(ev.track + 1, 0);
   }
-  announce_lane(ev.track, lane);
+  // Lanes open one at a time, so a new lane is always the next index.
+  for (std::size_t& n = announced_lanes_[ev.track];
+       n <= static_cast<std::size_t>(lane); ++n) {
+    const int pid = pid_of_track(ev.track);
+    write_lane_metadata(*os_, pid, ev.track, tracer_->tracks()[ev.track].name,
+                        static_cast<int>(n), &first_);
+  }
   write_event(*os_, ev, track_pid_[ev.track], tid_of(ev.track, lane),
               &first_);
   ++events_written_;
@@ -689,28 +469,20 @@ void TraceStreamWriter::emit_event(const TraceEvent& ev) {
 std::size_t TraceStreamWriter::drain() {
   POLARIS_CHECK_MSG(!finished_, "drain after finish");
   batch_.clear();
-  const detail::RingTable* table =
-      tracer_->ring_table_.load(std::memory_order_acquire);
+  const std::size_t rings =
+      tracer_->ring_count_.load(std::memory_order_acquire);
   std::uint64_t consumed = 0;
-  if (table) {
-    for (std::size_t t = 0; t < table->count; ++t) {
-      detail::TrackRing& r = *table->rings[t];
-      std::uint64_t lo = r.tail.load(std::memory_order_relaxed);
-      const std::uint64_t hi = r.head.load(std::memory_order_acquire);
-      consumed += hi - lo;
-      for (; lo != hi; ++lo) {
-        batch_.push_back(tracer_->decode(
-            static_cast<TrackId>(t),
-            r.buf[static_cast<std::size_t>(lo) & r.mask]));
-      }
-      if (consume_) r.tail.store(lo, std::memory_order_release);
-    }
+  for (std::size_t t = 0; t < rings; ++t) {
+    detail::TrackRing& r = *tracer_->ring_ptrs_[t];
+    const std::uint64_t lo = r.tail.load(std::memory_order_relaxed);
+    const std::uint64_t hi = r.read([&](const detail::CompactEvent& ev) {
+      batch_.push_back(tracer_->decode(static_cast<TrackId>(t), ev));
+    });
+    consumed += hi - lo;
+    r.tail.store(hi, std::memory_order_release);
   }
-  if (consume_) {
-    tracer_->drained_events_.fetch_add(consumed,
-                                       std::memory_order_relaxed);
-  }
-  // Within a batch the full-mode order is reproduced exactly; across
+  tracer_->drained_.fetch_add(consumed, std::memory_order_relaxed);
+  // Within a batch the write_json order is reproduced exactly; across
   // batches events stay grouped per drain (a long-lived span can land in
   // an overflow lane of an earlier-drained child — cosmetic only).
   std::stable_sort(batch_.begin(), batch_.end(), event_order);
@@ -730,13 +502,7 @@ void TraceStreamWriter::finish() {
 std::uint64_t trace_hash(const Tracer& tracer) {
   std::ostringstream os;
   tracer.write_json(os);
-  const std::string json = os.str();
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char c : json) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+  return support::fnv1a(os.str(), kTraceHashSeed);
 }
 
 }  // namespace polaris::obs

@@ -34,19 +34,17 @@
 #include "polaris/fabric/partition.hpp"
 #include "polaris/pdes/config.hpp"
 #include "polaris/support/flat_map.hpp"
+#include "polaris/support/hash.hpp"
 
 namespace polaris::pdes {
 
 class ShardedEngine;
 
-/// 64-bit-at-a-time FNV-1a fold (whole words, not bytes: the golden hash
-/// needs collision resistance against trace edits, not standards
-/// compliance, and one multiply per field keeps it off the profile).
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ull;
-inline std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * kFnvPrime;
-}
+// The golden hash folds whole words, not bytes: it needs collision
+// resistance against trace edits, not standards compliance, and one
+// multiply per field keeps it off the profile.
+using support::fnv_step;
+using support::kFnvOffset;
 
 /// Flat per-rank program state.  `phase` is the phase being worked or
 /// about to start; `need`/`got_*` describe the currently open phase.

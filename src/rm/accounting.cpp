@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "polaris/support/check.hpp"
+#include "polaris/support/hash.hpp"
 
 namespace polaris::rm {
 
@@ -181,13 +182,7 @@ std::string AccountingStore::dump() const {
 }
 
 std::uint64_t AccountingStore::fingerprint() const {
-  const std::string text = dump();
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return support::fnv1a(dump());
 }
 
 }  // namespace polaris::rm

@@ -27,15 +27,6 @@
 namespace polaris {
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // Same scenario and constants as tests/workload/golden_trace_test.cpp
 // (halo2d, 16 ranks, myrinet2000, 3 iterations, seed commit e7b97ed).
 // Engine event counts are deliberately NOT compared: armed-then-cancelled
@@ -62,7 +53,9 @@ TEST(FaultRecovery, ArmedButEmptyInjectorKeepsGoldenTrace) {
   tracer.write_json(trace);
   EXPECT_EQ(world.engine().now(), kGoldenFinalTime);
   EXPECT_EQ(trace.str().size(), kGoldenTraceBytes);
-  EXPECT_EQ(fnv1a(trace.str()), kGoldenTraceHash);
+  EXPECT_EQ(obs::trace_hash(tracer), kGoldenTraceHash);
+  EXPECT_EQ(tracer.stats().dropped_ring_full, 0u);
+  EXPECT_EQ(tracer.stats().dropped_no_slot, 0u);
   EXPECT_EQ(world.msg_retries(), 0u);
   EXPECT_EQ(world.msg_drops(), 0u);
   EXPECT_EQ(world.recv_timeouts(), 0u);

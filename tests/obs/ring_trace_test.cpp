@@ -1,6 +1,7 @@
-// Ring-mode tracer: bounded rings, interned names, deterministic sampling,
-// streaming export.  The multi-threaded cases double as the tsan proof of
-// the SPSC producer/drainer contract.
+// Tracer rings: bounded (RingOptions) and growing (default) capacity,
+// interned names, deterministic sampling, streaming export.  The
+// multi-threaded cases double as the tsan proof of the SPSC
+// producer/drainer contract, including rings that grow under a drainer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -126,20 +127,35 @@ TEST(RingTracer, SamplingIsDeterministicOneInN) {
   EXPECT_EQ(s.span_ns_total, 100u * 5u);
 }
 
-TEST(RingTracer, DisabledTracerRecordsNothing) {
-  Tracer tracer(RingOptions{});
+TEST(RingTracer, DefaultTracerGrowsInsteadOfDropping) {
+  WallClock clock;
+  Tracer tracer(clock);
   const TrackId t = tracer.add_track("ranks", "rank 0");
   const NameId n = tracer.intern("op");
-  tracer.set_enabled(false);
-  tracer.complete_span(t, n, kNoName, 0, 1);
-  EXPECT_FALSE(tracer.begin_span(t, n).valid());
-  tracer.instant(t, n);
-  tracer.counter(t, n, 1.0);
-  Tracer::Stats s = tracer.stats();
-  EXPECT_EQ(s.spans_total + s.instants_total + s.counters_total, 0u);
-  tracer.set_enabled(true);
-  tracer.complete_span(t, n, kNoName, 0, 1);
-  EXPECT_EQ(tracer.stats().spans_total, 1u);
+  // More events than a default RingOptions ring holds, and more open spans
+  // than its slot pool.
+  constexpr std::uint64_t kEvents = (std::uint64_t{1} << 14) + 100;
+  constexpr std::uint64_t kOpen = 100;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    tracer.complete_span(t, n, kNoName, static_cast<std::int64_t>(i), 1);
+  }
+  std::vector<SpanId> open;
+  for (std::uint64_t i = 0; i < kOpen; ++i) {
+    open.push_back(tracer.begin_span(t, n));
+    EXPECT_TRUE(open.back().valid());
+  }
+  for (auto it = open.rbegin(); it != open.rend(); ++it) tracer.end_span(*it);
+
+  const Tracer::Stats s = tracer.stats();
+  EXPECT_EQ(s.spans_total, kEvents + kOpen);
+  EXPECT_EQ(s.sampled_events, kEvents + kOpen);
+  EXPECT_EQ(s.dropped_ring_full, 0u);
+  EXPECT_EQ(s.dropped_no_slot, 0u);
+  const std::vector<TraceEvent> events = tracer.snapshot();
+  ASSERT_EQ(events.size(), kEvents + kOpen);
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(events[i].start_ns, static_cast<std::int64_t>(i));
+  }
 }
 
 TEST(RingTracer, WriteJsonIsRepeatableAndNonConsuming) {
@@ -226,33 +242,27 @@ TEST(RingTracer, SampledTraceIdenticalAcrossRunsAndWorkerCounts) {
   EXPECT_NE(full, one);
 }
 
-// tsan stress: per-thread producers hammer their own tracks while the main
-// thread concurrently drains.  After the join, conservation must hold
-// exactly: every successfully recorded event was either drained or is
-// still in a ring; drops are counted, never silent.
-TEST(RingTracer, ConcurrentProducersAndDrainerConserveEvents) {
-  WallClock clock;
-  Tracer tracer(clock, small_ring(1 << 8));
+// tsan stress: per-thread producers register and hammer their own tracks
+// while the main thread concurrently drains.  After the join, conservation
+// must hold exactly: every successfully recorded event was either drained
+// or is still in a ring; drops are counted, never silent.
+Tracer::Stats hammer_while_draining(Tracer& tracer) {
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kPerThread = 50'000;
-  std::vector<TrackId> tracks;
-  std::vector<NameId> names;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    tracks.push_back(
-        tracer.add_track("ranks", "rank " + std::to_string(t)));
-    names.push_back(tracer.intern("op" + std::to_string(t)));
-  }
   std::ostringstream os;
   TraceStreamWriter writer(tracer, os);
 
   std::vector<std::thread> producers;
   for (std::size_t t = 0; t < kThreads; ++t) {
     producers.emplace_back([&, t] {
+      const TrackId track =
+          tracer.add_track("ranks", "rank " + std::to_string(t));
+      const NameId name = tracer.intern("op" + std::to_string(t));
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         if ((i & 7) == 0) {
-          tracer.instant(tracks[t], names[t]);
+          tracer.instant(track, name);
         } else {
-          tracer.complete_span(tracks[t], names[t], kNoName,
+          tracer.complete_span(track, name, kNoName,
                                static_cast<std::int64_t>(i), 1);
         }
       }
@@ -269,6 +279,23 @@ TEST(RingTracer, ConcurrentProducersAndDrainerConserveEvents) {
   EXPECT_EQ(s.drained_events, s.sampled_events);  // finish() drained the rest
   EXPECT_EQ(writer.events_written(), s.drained_events);
   EXPECT_EQ(tracer.event_count(), 0u);
+  return s;
+}
+
+TEST(RingTracer, ConcurrentProducersAndDrainerConserveEvents) {
+  WallClock clock;
+  Tracer tracer(clock, small_ring(1 << 8));
+  hammer_while_draining(tracer);
+}
+
+// The default tracer's rings grow while the drainer reads them: a retired
+// buffer must stay readable, and nothing may be lost.
+TEST(RingTracer, GrowingRingsConserveEventsUnderConcurrentDrain) {
+  WallClock clock;
+  Tracer tracer(clock);
+  const Tracer::Stats s = hammer_while_draining(tracer);
+  EXPECT_EQ(s.dropped_ring_full, 0u);
+  EXPECT_EQ(s.drained_events, s.spans_total + s.instants_total);
 }
 
 }  // namespace

@@ -192,6 +192,33 @@ TEST(SimTrace, LinkBusySpansSumToNetworkStats) {
   EXPECT_NEAR(busy_s, expected, 1e-9 + 0.01 * expected);
 }
 
+// Pointer gating is the tracer's only off-switch: a gated-off world records
+// nothing, and switching it back on resumes recording.
+TEST(SimTrace, GatedOffWorldRecordsNothing) {
+  SimWorld world(2, infiniband_4x());
+  obs::SimClock clock(world.engine());
+  obs::Tracer tracer(clock);
+  world.attach_tracer(tracer);
+  const auto ping = [](SimComm& c) -> des::Task<void> {
+    if (c.rank() == 0) {
+      co_await c.send(1, 0, 64);
+    } else {
+      co_await c.recv(0, 0);
+    }
+  };
+
+  world.set_tracing_enabled(false);
+  world.launch(ping);
+  world.run();
+  const obs::Tracer::Stats off = tracer.stats();
+  EXPECT_EQ(off.spans_total + off.instants_total + off.counters_total, 0u);
+
+  world.set_tracing_enabled(true);
+  world.launch(ping);
+  world.run();
+  EXPECT_GT(tracer.stats().spans_total, 0u);
+}
+
 TEST(SimTrace, MetricsMirrorRunTotals) {
   SimWorld world(2, infiniband_4x());
   obs::MetricsRegistry metrics;

@@ -350,6 +350,46 @@ TEST(Tracer, PartialOverlapsSplitIntoLanesNestingStays) {
   }
 }
 
+// Nested spans that share start and duration (wait_all around recv, send
+// around eager:inject) close child-first, so a ring holds the child first;
+// both capacity policies must still export the parent first.
+void expect_tied_nesting_parent_first(Tracer& tracer, TestClock& clock) {
+  const TrackId track = tracer.add_track("ranks", "rank 0");
+  clock.set(100);
+  {
+    ScopedSpan outer(&tracer, track, "wait_all", "p2p");
+    ScopedSpan inner(&tracer, track, "recv", "p2p");
+    clock.set(300);
+  }
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "wait_all");
+  EXPECT_EQ(events[1].name, "recv");
+
+  std::ostringstream os;
+  tracer.write_json(os);
+  std::vector<ExportedEvent> spans;
+  for (const ExportedEvent& ev : parse_exported(os.str())) {
+    if (ev.ph == 'X') spans.push_back(ev);
+  }
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "wait_all");
+  EXPECT_EQ(spans[1].name, "recv");
+  EXPECT_EQ(spans[0].tid, spans[1].tid);  // nested: one lane
+}
+
+TEST(Tracer, TiedNestedSpansExportParentFirst) {
+  TestClock clock;
+  Tracer tracer(clock);
+  expect_tied_nesting_parent_first(tracer, clock);
+}
+
+TEST(Tracer, TiedNestedSpansExportParentFirstFromBoundedRings) {
+  TestClock clock;
+  Tracer tracer(clock, RingOptions{});
+  expect_tied_nesting_parent_first(tracer, clock);
+}
+
 TEST(Tracer, ProcessesGroupTracksIntoPids) {
   Tracer tracer;
   const TrackId r0 = tracer.add_track("ranks", "rank 0");

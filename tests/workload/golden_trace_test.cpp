@@ -20,21 +20,13 @@
 namespace polaris::workload {
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 struct GoldenRun {
   des::SimTime final_time = 0;
   std::uint64_t executed = 0;
   std::uint64_t scheduled = 0;
   std::uint64_t trace_hash = 0;
   std::size_t trace_bytes = 0;
+  obs::Tracer::Stats trace_stats;
 };
 
 GoldenRun run_halo16(bool explicit_oblivious = false) {
@@ -60,8 +52,9 @@ GoldenRun run_halo16(bool explicit_oblivious = false) {
   out.final_time = world.engine().now();
   out.executed = stats.executed;
   out.scheduled = stats.scheduled;
-  out.trace_hash = fnv1a(trace.str());
+  out.trace_hash = obs::trace_hash(tracer);
   out.trace_bytes = trace.str().size();
+  out.trace_stats = tracer.stats();
   return out;
 }
 
@@ -86,6 +79,9 @@ TEST(GoldenTrace, HaloExchangeMatchesSeedEngineEventOrder) {
   EXPECT_EQ(run.scheduled, kGoldenScheduled);
   EXPECT_EQ(run.trace_bytes, kGoldenTraceBytes);
   EXPECT_EQ(run.trace_hash, kGoldenTraceHash);
+  // The trace is complete: nothing sampled away or dropped.
+  EXPECT_EQ(run.trace_stats.dropped_ring_full, 0u);
+  EXPECT_EQ(run.trace_stats.dropped_no_slot, 0u);
 }
 
 // Adaptive routing is compiled into the network but DISABLED here: with
@@ -100,6 +96,9 @@ TEST(GoldenTrace, AdaptiveRoutingDisabledReplaysSeedTraceExactly) {
   EXPECT_EQ(run.scheduled, kGoldenScheduled);
   EXPECT_EQ(run.trace_bytes, kGoldenTraceBytes);
   EXPECT_EQ(run.trace_hash, kGoldenTraceHash);
+  // The trace is complete: nothing sampled away or dropped.
+  EXPECT_EQ(run.trace_stats.dropped_ring_full, 0u);
+  EXPECT_EQ(run.trace_stats.dropped_no_slot, 0u);
 }
 
 TEST(GoldenTrace, HaloExchangeIsRunToRunDeterministic) {
