@@ -1,52 +1,81 @@
 // Operating a 1024-node commodity cluster: resource management and fault
 // recovery working together.
 //
-// Generates a synthetic month of job submissions, schedules it under FCFS
-// and EASY backfill, then asks what the machine's failure behaviour means
-// for its biggest jobs — system MTBF, detector settings, and the Daly
-// checkpoint interval those jobs should use.
+// Generates a synthetic month of job submissions, schedules it on the
+// resource manager under FCFS, SJF and EASY backfill (the EASY run is
+// traced: cluster_gantt_trace.json is its job Gantt chart for
+// chrome://tracing or Perfetto), then asks what the machine's failure
+// behaviour means for its biggest jobs — system MTBF, detector settings,
+// and the Daly checkpoint interval those jobs should use.
 //
 //   ./cluster_operations
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <limits>
 
+#include "polaris/des/engine.hpp"
 #include "polaris/fault/checkpoint.hpp"
 #include "polaris/fault/detector.hpp"
 #include "polaris/fault/failure.hpp"
-#include "polaris/sched/scheduler.hpp"
-#include "polaris/sched/trace.hpp"
+#include "polaris/obs/clock.hpp"
+#include "polaris/obs/trace.hpp"
+#include "polaris/rm/manager.hpp"
 #include "polaris/support/table.hpp"
 #include "polaris/support/units.hpp"
+#include "polaris/workload/job_mix.hpp"
 
 int main() {
   using namespace polaris;
   constexpr std::size_t kNodes = 1024;
 
   // -- resource management ---------------------------------------------------
-  sched::TraceConfig cfg;
+  workload::MultiUserTraceConfig cfg;
   cfg.jobs = 8000;
+  cfg.users = 1;
+  cfg.accounts = 1;
   cfg.max_width_exp = 9;  // jobs up to 512 nodes
   cfg.mean_interarrival = 1900.0;  // offered load ~0.85
-  auto trace = sched::generate_trace(cfg, 2002);
+  const auto trace = workload::make_multi_user_trace(cfg, 2002);
   std::printf("synthetic trace: %zu jobs, offered load %.2f on %zu nodes\n\n",
-              trace.size(), sched::offered_load(trace, kNodes), kNodes);
+              trace.size(), workload::offered_load(trace, kNodes), kNodes);
 
   support::Table st("scheduling policies on the same trace");
   st.header({"policy", "utilization", "mean wait", "p95 wait",
              "mean bounded slowdown", "backfilled"});
-  for (auto policy : {sched::Policy::kFcfs, sched::Policy::kSjf,
-                      sched::Policy::kEasyBackfill}) {
-    auto jobs = trace;
-    const auto m = sched::run_scheduler(jobs, kNodes, policy);
-    st.add(sched::to_string(policy),
-           support::Table::to_cell(m.utilization),
+  struct Policy {
+    const char* name;
+    rm::RmConfig cfg;
+  };
+  Policy policies[] = {{"fcfs", rm::RmConfig::legacy_fcfs()},
+                       {"sjf", rm::RmConfig::legacy_fcfs()},
+                       {"easy-backfill", rm::RmConfig::legacy_fcfs()}};
+  policies[1].cfg.order = rm::RmConfig::Order::kShortestEstimate;
+  policies[2].cfg.backfill = true;
+  policies[2].cfg.backfill_interval = 0.0;
+  policies[2].cfg.backfill_depth = std::numeric_limits<std::uint32_t>::max();
+  for (const Policy& p : policies) {
+    des::Engine engine;
+    rm::ResourceManager manager(engine, kNodes, p.cfg);
+    obs::SimClock clock(engine);
+    obs::Tracer tracer(clock);
+    if (p.cfg.backfill) manager.attach_tracer(tracer);
+    for (const rm::JobSpec& s : trace) manager.submit(s);
+    engine.run();
+    const rm::ResourceManager::Summary m = manager.summary();
+    st.add(p.name, support::Table::to_cell(m.utilization),
            support::format_time(m.mean_wait),
            support::format_time(m.p95_wait),
            support::Table::to_cell(m.mean_bounded_slowdown),
            static_cast<unsigned long long>(m.backfilled));
+    if (p.cfg.backfill) {
+      std::ofstream out("cluster_gantt_trace.json");
+      tracer.write_json(out);
+    }
   }
   st.print(std::cout);
+  std::printf("wrote cluster_gantt_trace.json (EASY backfill job Gantt)\n");
 
   // -- fault recovery ----------------------------------------------------------
   const double node_mtbf = 5.0 * 365 * 86400.0;  // 5-year commodity node

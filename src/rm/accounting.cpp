@@ -50,21 +50,21 @@ void AccountingStore::on_start(JobId id, double at) {
   r->state = JobState::kRunning;
 }
 
-void AccountingStore::on_requeue(JobId id, double at) {
+void AccountingStore::on_requeue(JobId id, double at, double kept) {
   JobRecord* r = record_for(id);
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
-  const double wasted = (at - r->start) * r->width;
-  r->wasted_node_seconds += wasted;
+  r->wasted_node_seconds += (at - r->start - kept) * r->width;
   // The aborted run still consumed the machine: charge it.
-  charge(r->user, r->account, wasted, at);
+  charge(r->user, r->account, (at - r->start) * r->width, at);
   r->start = -1.0;
   r->state = JobState::kPending;
   ++r->requeues;
 }
 
-void AccountingStore::on_complete(JobId id, double at) {
+void AccountingStore::on_complete(JobId id, double at, double overhead) {
   JobRecord* r = record_for(id);
   POLARIS_CHECK(r->state == JobState::kRunning && r->start >= 0.0);
+  r->wasted_node_seconds += overhead * r->width;
   r->finish = at;
   r->state = JobState::kCompleted;
   charge(r->user, r->account, (at - r->start) * r->width, at);

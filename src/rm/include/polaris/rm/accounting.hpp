@@ -39,7 +39,8 @@ struct JobRecord {
   double submit = 0.0;
   double start = -1.0;   ///< most recent start; -1 while pending
   double finish = -1.0;  ///< -1 until completed/cancelled
-  double wasted_node_seconds = 0.0;  ///< lost to preemption/node failure
+  /// Lost to preemption/node failure, checkpoints and restarts.
+  double wasted_node_seconds = 0.0;
   std::uint32_t requeues = 0;
   JobState state = JobState::kPending;
 
@@ -58,9 +59,12 @@ class AccountingStore {
   // --- lifecycle recording (called by the resource manager) ---
   void on_submit(const JobSpec& spec);
   void on_start(JobId id, double at);
-  /// Preemption or node-failure requeue: charges the partial run as waste.
-  void on_requeue(JobId id, double at);
-  void on_complete(JobId id, double at);
+  /// Preemption or node-failure requeue: charges the partial run as
+  /// waste, except the `kept` seconds of work its checkpoints committed.
+  void on_requeue(JobId id, double at, double kept = 0.0);
+  /// `overhead` seconds of the final run (checkpoints, restart) did no
+  /// work and are charged as waste.
+  void on_complete(JobId id, double at, double overhead = 0.0);
   void on_cancel(JobId id, double at);
 
   /// Default 1.0; higher shares tolerate more usage before losing factor.

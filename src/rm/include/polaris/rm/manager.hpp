@@ -3,9 +3,8 @@
 // The ResourceManager is a DES *service*: submissions, completions,
 // reservations, backfill cycles and fault notifications are all engine
 // events, so scheduling interleaves with everything else in the simulated
-// machine (fabric traffic, heartbeats, fault injection) instead of running
-// in the detached analytic loop of sched::Simulator.  The architecture is
-// SLURM-shaped:
+// machine (fabric traffic, heartbeats, fault injection).  The
+// architecture is SLURM-shaped:
 //
 //  - Placement: jobs receive contiguous blocks of the real fabric from a
 //    buddy BlockAllocator over a locality-preserving linearization
@@ -14,13 +13,17 @@
 //    job slab, with a tier-occupancy bitmask — push, pop and
 //    highest-nonempty are O(1).  Fair share (decayed per-user usage from
 //    the AccountingStore) maps into sub-tiers below the base priority.
+//  - Ordering: arrival order (FIFO) by default; shortest-estimate-first
+//    keeps each tier sorted by wall-time request instead (SJF).
 //  - Starting: an O(1)-per-job quick-start pass pops queue heads while
-//    they fit; a *rate-limited* backfill cycle (EASY shadow from the
-//    incrementally-maintained PlanningTimeline, or conservative with a
-//    cycle-local profile) handles out-of-order starts.  Rate limiting is
-//    what keeps the per-job-event decision cost flat at 10^6 queued jobs:
-//    dirty events within `backfill_interval` of the last cycle coalesce
-//    into one deferred timer instead of each rescanning the queue.
+//    they fit (under SJF it skips a job that does not fit rather than
+//    blocking behind it); a *rate-limited* backfill cycle (EASY shadow
+//    from the incrementally-maintained PlanningTimeline, or conservative
+//    with a cycle-local profile) handles out-of-order starts.  Rate
+//    limiting is what keeps the per-job-event decision cost flat at 10^6
+//    queued jobs: dirty events within `backfill_interval` of the last
+//    cycle coalesce into one deferred timer instead of each rescanning
+//    the queue.
 //  - Preemption: a high-tier head job may evict lower-tier preemptible
 //    running jobs (restart semantics: the partial run is accounted as
 //    wasted node-seconds and the victim requeues at the front of its
@@ -32,10 +35,13 @@
 //  - Faults: as a fault::FaultListener, a node crash kills the owning
 //    job (requeue, front of tier), drains the node, and triggers
 //    replacement allocation; repair undrains and wakes the queue.
+//  - Checkpoints: a requeued job with a checkpoint interval keeps the
+//    work its completed checkpoints committed and resumes from there.
 //
-// With RmConfig::legacy_fcfs() (single tier, flat order, no backfill) the
-// manager reproduces sched::Simulator's FCFS schedule job-for-job — the
-// equivalence is pinned by tests/rm.
+// RmConfig::legacy_fcfs() (single tier, flat placement, no backfill) is
+// the textbook FCFS machine; F7 replays it, with backfill or SJF order
+// switched on, as the classic policy comparison (tests/rm pins the
+// numbers).
 #pragma once
 
 #include <array>
@@ -77,6 +83,23 @@ struct RmConfig {
   /// A head job preempts only victims at least this many tiers below it.
   std::uint32_t preempt_gap = 1;
 
+  /// Queue order within a tier.  kArrival: FIFO, and the quick-start
+  /// pass stops at the first job that does not fit.  kShortestEstimate:
+  /// each tier is kept sorted by wall-time request (ties in arrival
+  /// order), and the quick-start pass skips a job that does not fit —
+  /// SJF, with no reservation for the skipped job.
+  enum class Order { kArrival, kShortestEstimate };
+  Order order = Order::kArrival;
+
+  /// Checkpoint-aware requeue.  A job with JobSpec::checkpoint_interval
+  /// tau > 0 writes a checkpoint costing `checkpoint_cost` (delta)
+  /// seconds after every tau seconds of work, so it runs and plans
+  /// work * (1 + delta/tau).  A requeued job keeps the work its completed
+  /// checkpoints committed and pays `restart_cost` (R) before resuming.
+  /// With tau = 0 and R = 0 a requeued job restarts from scratch for free.
+  double checkpoint_cost = 0.0;
+  double restart_cost = 0.0;
+
   bool fair_share = false;
   /// Base-priority tiers (spec.priority clamped to [0, priority_tiers)).
   std::uint32_t priority_tiers = 8;
@@ -84,8 +107,8 @@ struct RmConfig {
   std::uint32_t fairshare_tiers = 4;
   double fairshare_halflife = 7 * 24 * 3600.0;
 
-  /// The configuration under which the manager reproduces the legacy
-  /// sched::Simulator FCFS schedule job-for-job.
+  /// Plain FCFS on a flat machine: one tier, no fair share, no backfill,
+  /// no preemption.
   static RmConfig legacy_fcfs() {
     RmConfig c;
     c.placement = Placement::kFlat;
@@ -171,6 +194,8 @@ class ResourceManager final : public fault::FaultListener {
     std::uint32_t prev = kNilIndex;  ///< intrusive tier-FIFO links
     std::uint32_t next = kNilIndex;
     bool queued = false;
+    bool restarted = false;  ///< requeued at least once: pays restart_cost
+    double remaining = 0.0;  ///< work seconds not yet committed
     double start = -1.0;
     double planned_end = 0.0;  ///< timeline removal key
     des::EventId completion{};
@@ -206,6 +231,13 @@ class ResourceManager final : public fault::FaultListener {
   double planning_estimate(const JobSpec& spec) const {
     return spec.estimate > 0.0 ? spec.estimate : spec.runtime;
   }
+  /// Wall seconds the job needs for `work` seconds of its work: checkpoint
+  /// overhead on top, plus the restart charge after a requeue.
+  double wall_seconds(const RmJob& job, double work) const;
+  /// Wall seconds the scheduler plans the job's next run with.
+  double planned_seconds(const RmJob& job) const {
+    return wall_seconds(job, planning_estimate(job.spec));
+  }
   std::uint32_t compute_tier(const JobSpec& spec) const;
   /// Tier above every normal one, for jobs whose reservation window is open.
   std::uint32_t boost_tier() const {
@@ -215,6 +247,8 @@ class ResourceManager final : public fault::FaultListener {
     return p * f;
   }
 
+  /// Links the job into its tier: at the front, or at the back in queue
+  /// order (estimate-sorted under kShortestEstimate).
   void enqueue(RmJob& job, bool front);
   void dequeue(RmJob& job);
   RmJob* queue_head();

@@ -11,10 +11,10 @@
 //      +<--------------------------------------------+
 //
 // Preemption and node-failure requeue are restart semantics: the job loses
-// its progress (accounted as wasted node-seconds) and runs its full
-// runtime again on the next allocation — the conservative model for
-// applications without checkpointing (polaris::fault::CheckpointModel
-// covers the other regime).
+// its uncommitted progress (accounted as wasted node-seconds) and runs the
+// rest again on the next allocation.  Without a checkpoint interval that
+// is all of it; with one, only the work since its last checkpoint
+// (RmConfig::checkpoint_cost / restart_cost price the checkpoints).
 #pragma once
 
 #include <cstddef>
@@ -52,6 +52,8 @@ struct JobSpec {
   std::int32_t priority = 0;  ///< base priority; higher schedules first
   bool preemptible = true;
   ReservationId reservation = kNoReservation;  ///< run inside this window
+  /// Work seconds between checkpoints (tau); 0 = never checkpoints.
+  double checkpoint_interval = 0.0;
 };
 
 }  // namespace polaris::rm

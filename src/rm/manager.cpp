@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,7 @@ void ResourceManager::submit(const JobSpec& spec) {
   RmJob& job = jobs_.back();
   job.spec = spec;
   job.slot = slot;
+  job.remaining = spec.runtime;
   job.rm = this;
   job_index_[spec.id] = slot;
   const des::SimTime at =
@@ -166,24 +168,32 @@ void ResourceManager::arrival_cb(void* ctx) {
   rm.run_queue();
 }
 
+double ResourceManager::wall_seconds(const RmJob& job, double work) const {
+  const double tau = job.spec.checkpoint_interval;
+  const double run =
+      tau > 0.0 ? work * (1.0 + cfg_.checkpoint_cost / tau) : work;
+  return job.restarted ? cfg_.restart_cost + run : run;
+}
+
 void ResourceManager::enqueue(RmJob& job, bool front) {
   POLARIS_CHECK(!job.queued);
   const std::uint32_t t = job.tier;
-  job.queued = true;
-  job.prev = kNilIndex;
-  job.next = kNilIndex;
-  if (head_[t] == kNilIndex) {
-    head_[t] = tail_[t] = job.slot;
-    queue_mask_ |= 1ull << t;
-  } else if (front) {
-    job.next = head_[t];
-    jobs_[head_[t]].prev = job.slot;
-    head_[t] = job.slot;
-  } else {
-    job.prev = tail_[t];
-    jobs_[tail_[t]].next = job.slot;
-    tail_[t] = job.slot;
+  // The job is linked in right after `prev` (kNilIndex: at the head).
+  std::uint32_t prev = front ? kNilIndex : tail_[t];
+  if (!front && cfg_.order == RmConfig::Order::kShortestEstimate) {
+    // Walk back past every longer request; equal ones keep arrival order.
+    const double key = planning_estimate(job.spec);
+    while (prev != kNilIndex && planning_estimate(jobs_[prev].spec) > key) {
+      prev = jobs_[prev].prev;
+    }
   }
+  const std::uint32_t next = prev == kNilIndex ? head_[t] : jobs_[prev].next;
+  job.queued = true;
+  job.prev = prev;
+  job.next = next;
+  (prev == kNilIndex ? head_[t] : jobs_[prev].next) = job.slot;
+  (next == kNilIndex ? tail_[t] : jobs_[next].prev) = job.slot;
+  queue_mask_ |= 1ull << t;
   ++pending_count_;
 }
 
@@ -226,7 +236,7 @@ std::uint32_t ResourceManager::available_for(const RmJob& job) const {
     if (r.active) return r.remaining;  // granted out of the hold
   }
   auto free = static_cast<std::uint32_t>(alloc_.free_count());
-  const double end = now_s() + planning_estimate(job.spec);
+  const double end = now_s() + planned_seconds(job);
   for (const Reservation& r : reservations_) {
     if (r.active || r.expired) continue;
     if (r.start >= end) continue;  // the job vacates before the window
@@ -262,10 +272,11 @@ void ResourceManager::start_job(RmJob& job, bool via_backfill) {
 
   job.state = JobState::kRunning;
   job.start = now_s();
-  job.planned_end = job.start + planning_estimate(job.spec);
+  job.planned_end = job.start + planned_seconds(job);
   timeline_.add(job.planned_end, width, job.slot);
   job.completion = engine_->schedule_raw_after(
-      des::from_seconds(job.spec.runtime), &completion_cb, &job);
+      des::from_seconds(wall_seconds(job, job.remaining)), &completion_cb,
+      &job);
   acct_.on_start(job.spec.id, job.start);
   ++started_;
   ++running_count_;
@@ -290,7 +301,9 @@ void ResourceManager::finish_job(RmJob& job) {
   alloc_.release(job.alloc);
   job.alloc.clear();
   job.state = JobState::kCompleted;
-  acct_.on_complete(job.spec.id, finish);
+  // Checkpoint and restart time of the final run did no work.
+  acct_.on_complete(job.spec.id, finish,
+                    wall_seconds(job, job.remaining) - job.remaining);
   ++completed_;
   --running_count_;
   last_finish_ = std::max(last_finish_, finish);
@@ -308,7 +321,19 @@ void ResourceManager::requeue_job(RmJob& job, bool preempted) {
   timeline_.remove(job.slot, job.planned_end);
   alloc_.release(job.alloc);
   job.alloc.clear();
-  acct_.on_requeue(job.spec.id, now_s());
+  // Work up to the last completed checkpoint survives: after the restart
+  // charge, each tau of work is followed by a checkpoint of delta.
+  double kept = 0.0;
+  const double tau = job.spec.checkpoint_interval;
+  if (tau > 0.0) {
+    const double restart = job.restarted ? cfg_.restart_cost : 0.0;
+    const double working = std::max(now_s() - job.start - restart, 0.0);
+    kept = std::min(std::floor(working / (tau + cfg_.checkpoint_cost)) * tau,
+                    job.remaining);
+  }
+  job.remaining -= kept;
+  job.restarted = true;
+  acct_.on_requeue(job.spec.id, now_s(), kept);
   job.state = JobState::kPending;
   job.start = -1.0;
   --running_count_;
@@ -344,6 +369,25 @@ void ResourceManager::run_queue() {
 }
 
 void ResourceManager::quick_start() {
+  if (cfg_.order == RmConfig::Order::kShortestEstimate) {
+    // One walk in queue order: a job that does not fit is passed over, and
+    // every job started behind it counts as started out of order.
+    bool passed_over = false;
+    for (int t = kMaxTiers - 1; t >= 0; --t) {
+      std::uint32_t s = head_[static_cast<std::size_t>(t)];
+      while (s != kNilIndex) {
+        RmJob& j = jobs_[s];
+        s = j.next;
+        if (reservation_admits(j) && j.spec.width <= available_for(j)) {
+          dequeue(j);
+          start_job(j, /*via_backfill=*/passed_over);
+        } else {
+          passed_over = true;
+        }
+      }
+    }
+    return;
+  }
   while (queue_mask_ != 0) {
     RmJob* j = queue_head();
     if (!reservation_admits(*j)) break;
@@ -395,7 +439,7 @@ void ResourceManager::backfill_cycle() {
         ++scanned;
         const bool is_head = s == head_slot;
         if (reservation_admits(c)) {
-          const double est = planning_estimate(c.spec);
+          const double est = planned_seconds(c);
           const double earliest = prof.reserve(c.spec.width, est);
           if (earliest <= now && c.spec.width <= available_for(c)) {
             dequeue(c);
@@ -422,7 +466,7 @@ void ResourceManager::backfill_cycle() {
       if (&c != head) {
         ++scanned;
         if (reservation_admits(c) && c.spec.width <= available_for(c)) {
-          const double est = planning_estimate(c.spec);
+          const double est = planned_seconds(c);
           const bool ends_before_shadow = now + est <= shadow.time;
           const bool fits_extra = c.spec.width <= extra;
           if (ends_before_shadow || fits_extra) {
@@ -623,7 +667,8 @@ ResourceManager::Summary ResourceManager::summary() const {
     ++s.completed;
     waits.add(r.start - r.submit);
     const double runtime = r.finish - r.start;
-    slowdown_sum += (r.finish - r.submit) / std::max(runtime, 10.0);
+    slowdown_sum +=
+        std::max(1.0, (r.finish - r.submit) / std::max(runtime, 10.0));
     node_seconds += runtime * r.width;
     s.makespan = std::max(s.makespan, r.finish);
   }

@@ -1,15 +1,17 @@
-// Multi-user job-mix traces for the resource manager.
+// Synthetic job traces for the resource manager.
 //
-// Extends the Feitelson-style statistical shape (Poisson arrivals,
-// power-of-two-biased widths, log-uniform runtimes, over-estimated
-// requests) with the dimensions a resource manager actually schedules on:
-// a skewed population of users (a few heavy submitters, a long tail)
+// Feitelson-style synthetic model of a production parallel-computer
+// workload (Poisson arrivals, power-of-two-biased widths, log-uniform
+// runtimes, multiplicatively over-estimated wall-time requests), the
+// statistical shape scheduler comparisons are conventionally run on in
+// place of the production traces we do not have (see DESIGN.md).  On top
+// of it come the dimensions a resource manager actually schedules on: a
+// skewed population of users (a few heavy submitters, a long tail)
 // grouped into accounts, per-job base priorities, and a preemptible flag.
 //
-// `integral_times` rounds every submit/runtime/estimate to whole seconds.
-// That makes the seconds -> engine-tick conversion exact, which is what
-// lets tests assert job-for-job equality between the tick-driven
-// ResourceManager and the double-driven legacy sched::Simulator.
+// A single-user trace (users == 1) is the plain Feitelson stream: it
+// draws no user and, unless p_preemptible < 1, no preemptible flag, so
+// its jobs depend only on the seed and the shape fields.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,6 @@ struct MultiUserTraceConfig {
   double max_overestimate = 5.0;    ///< estimate = runtime * U[1, this]
   std::uint32_t priority_levels = 1;  ///< priorities drawn from [0, this)
   double p_preemptible = 1.0;
-  bool integral_times = false;  ///< whole-second times (tick-exact)
 };
 
 /// Reproducible multi-user trace; job ids are 0..jobs-1 in submit order.

@@ -1,18 +1,26 @@
 // Fault integration: node crashes flow from the Injector (or the direct
 // node_failed API) into the resource manager, which requeues the owning
 // job, drains the node, and re-places the work once capacity returns.
-// Same-seed reruns must produce byte-identical accounting ledgers.
+// A checkpointing job resumes from its last checkpoint instead of from
+// scratch.  Same-seed reruns must produce byte-identical accounting
+// ledgers.  The FaultAware cases run whole traces on a failing machine,
+// the way bench_f10_fault_aware does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "polaris/des/engine.hpp"
 #include "polaris/des/time.hpp"
 #include "polaris/fabric/network.hpp"
 #include "polaris/fabric/params.hpp"
 #include "polaris/fabric/topology.hpp"
+#include "polaris/fault/checkpoint.hpp"
+#include "polaris/fault/failure.hpp"
 #include "polaris/fault/injector.hpp"
 #include "polaris/rm/manager.hpp"
+#include "polaris/support/check.hpp"
 #include "polaris/workload/job_mix.hpp"
 
 namespace polaris::rm {
@@ -199,6 +207,201 @@ TEST(FaultRequeueTest, SameSeedRunsProduceIdenticalLedgers) {
 
   const RunResult c = crashy_run(2003);
   EXPECT_NE(a.fingerprint, c.fingerprint);  // different seed, different run
+}
+
+JobSpec whole_machine_job(double checkpoint_interval) {
+  JobSpec s;
+  s.id = 1;
+  s.runtime = 100.0;
+  s.estimate = 100.0;
+  s.width = 4;
+  s.checkpoint_interval = checkpoint_interval;
+  return s;
+}
+
+/// Crashes node `node` of the job's 4-node machine at 70 s, repairs it at
+/// 80 s; checkpoints cost 10 s and a restart 5 s.
+const JobRecord& crash_at_70(des::Engine& engine, ResourceManager& rm,
+                             fabric::NodeId node) {
+  NodeEvent ev{&rm, node};
+  engine.schedule_raw_at(des::from_seconds(70.0), &NodeEvent::fail_cb, &ev);
+  engine.schedule_raw_at(des::from_seconds(80.0), &NodeEvent::repair_cb,
+                         &ev);
+  engine.run();
+  const JobRecord* rec = rm.accounting().find(1);
+  EXPECT_EQ(rec->state, JobState::kCompleted);
+  EXPECT_EQ(rec->requeues, 1u);
+  EXPECT_EQ(ticks(rec->start), ticks(80.0));
+  return *rec;
+}
+
+RmConfig checkpoint_costs() {
+  RmConfig cfg = RmConfig::legacy_fcfs();
+  cfg.checkpoint_cost = 10.0;  // delta
+  cfg.restart_cost = 5.0;      // R
+  return cfg;
+}
+
+TEST(FaultAware, CheckpointedJobResumesFromLastCheckpoint) {
+  des::Engine engine;
+  ResourceManager rm(engine, 4, checkpoint_costs());
+  rm.submit(whole_machine_job(/*tau=*/20.0));  // 100 s of work runs 150 s
+  const JobRecord& rec = crash_at_70(engine, rm, 2);
+  // Killed at 70 s: two (tau + delta) = 30 s segments done, so 40 s of
+  // work committed.  The restart runs R + 60 s * 1.5 = 95 s.
+  EXPECT_EQ(ticks(rec.finish), ticks(175.0));
+  // Lost per node: 70 - 40 = 30 s of the killed run, plus the final run's
+  // 95 - 60 = 35 s of restart and checkpoints.
+  EXPECT_DOUBLE_EQ(rec.wasted_node_seconds, 4 * (30.0 + 35.0));
+}
+
+TEST(FaultAware, RestartWithoutCheckpointsRedoesEverything) {
+  des::Engine engine;
+  ResourceManager rm(engine, 4, checkpoint_costs());
+  rm.submit(whole_machine_job(/*tau=*/0.0));
+  const JobRecord& rec = crash_at_70(engine, rm, 0);
+  EXPECT_EQ(ticks(rec.finish), ticks(185.0));  // 80 + R + 100
+  EXPECT_DOUBLE_EQ(rec.wasted_node_seconds, 4 * (70.0 + 5.0));
+}
+
+std::vector<JobSpec> small_trace(std::size_t jobs, double interarrival,
+                                 std::uint64_t seed,
+                                 double min_runtime = 600.0,
+                                 double max_runtime = 4.0 * 3600.0) {
+  workload::MultiUserTraceConfig cfg;
+  cfg.jobs = jobs;
+  cfg.users = 1;
+  cfg.accounts = 1;
+  cfg.max_width_exp = 5;  // <= 32 nodes
+  cfg.mean_interarrival = interarrival;
+  cfg.min_runtime = min_runtime;
+  cfg.max_runtime = max_runtime;
+  return workload::make_multi_user_trace(cfg, seed);
+}
+
+RmConfig easy_with_checkpoint_costs() {
+  RmConfig cfg = RmConfig::legacy_fcfs();
+  cfg.backfill = true;
+  cfg.backfill_interval = 0.0;
+  cfg.checkpoint_cost = 300.0;
+  cfg.restart_cost = 120.0;
+  return cfg;
+}
+
+struct FailingRun {
+  ResourceManager::Summary summary;
+  std::uint64_t failures = 0;
+  double useful = 0.0;        ///< node-seconds of the trace's work
+  double wasted = 0.0;        ///< lost progress + checkpoints + restarts
+  double goodput = 0.0;       ///< useful / capacity
+  double utilization = 0.0;   ///< (useful + wasted) / capacity
+  std::uint64_t fingerprint = 0;
+};
+
+/// EASY backfill on `nodes` nodes that crash per an exponential node MTBF
+/// for 30 days past the last submission, each repaired an hour later.
+/// With `checkpointing`, each job takes the Daly interval of its own
+/// width-scaled MTBF.
+FailingRun run_failing(const std::vector<JobSpec>& specs, std::size_t nodes,
+                       double node_mtbf, bool checkpointing) {
+  des::Engine engine;
+  fabric::Crossbar topo(nodes);
+  fabric::SimNetwork net(engine, fabric::fabrics::myrinet2000(), topo);
+  fault::Injector injector(engine, net);
+  const RmConfig cfg = easy_with_checkpoint_costs();
+  ResourceManager rm(engine, nodes, cfg);
+  rm.attach_injector(injector);
+
+  FailingRun out;
+  double last_submit = 0.0;
+  for (JobSpec s : specs) {
+    if (checkpointing) {
+      fault::CheckpointConfig cc;
+      cc.checkpoint_cost = cfg.checkpoint_cost;
+      cc.restart_cost = cfg.restart_cost;
+      cc.system_mtbf = fault::system_mtbf_exponential(node_mtbf, s.width);
+      s.checkpoint_interval = fault::daly_interval(cc);
+    }
+    out.useful += static_cast<double>(s.width) * s.runtime;
+    last_submit = std::max(last_submit, s.submit);
+    rm.submit(s);
+  }
+  fault::FailureTimeline timeline(fault::FailureModel::exponential(node_mtbf),
+                                  nodes, 2002);
+  injector.load_node_timeline(timeline, last_submit + 30 * 86400.0, 3600.0);
+  engine.run();
+
+  out.summary = rm.summary();
+  out.failures = injector.crashes();
+  out.wasted = rm.accounting().totals().wasted_node_seconds;
+  const double capacity = static_cast<double>(nodes) * out.summary.makespan;
+  out.goodput = out.useful / capacity;
+  out.utilization = (out.useful + out.wasted) / capacity;
+  out.fingerprint = rm.accounting().fingerprint();
+  return out;
+}
+
+TEST(FaultAware, NoFailuresMatchesPlainScheduling) {
+  // With an astronomically reliable machine the run reduces to plain EASY
+  // backfill: zero kills, no waste, the very same ledger.
+  const auto specs = small_trace(300, 400.0, 1);
+  const FailingRun m = run_failing(specs, 64, 1e15, false);
+  EXPECT_EQ(m.failures, 0u);
+  EXPECT_EQ(m.summary.requeues, 0u);
+  EXPECT_EQ(m.summary.completed, 300u);
+  EXPECT_EQ(m.wasted, 0.0);
+
+  des::Engine engine;
+  ResourceManager plain(engine, 64, easy_with_checkpoint_costs());
+  for (const JobSpec& s : specs) plain.submit(s);
+  engine.run();
+  EXPECT_EQ(m.fingerprint, plain.accounting().fingerprint());
+}
+
+TEST(FaultAware, AllJobsEventuallyComplete) {
+  // Aggressive: monthly node failures.
+  const FailingRun m =
+      run_failing(small_trace(200, 500.0, 2), 64, 30.0 * 86400.0, false);
+  EXPECT_EQ(m.summary.completed, 200u);
+  EXPECT_GT(m.failures, 0u);
+  EXPECT_GT(m.goodput, 0.0);
+  EXPECT_LE(m.goodput, 1.0);
+}
+
+TEST(FaultAware, FailuresCreateWaste) {
+  const FailingRun m =
+      run_failing(small_trace(200, 500.0, 3), 64, 20.0 * 86400.0, false);
+  EXPECT_GT(m.summary.requeues, 0u);
+  EXPECT_GT(m.wasted, 0.0);
+  EXPECT_LT(m.goodput, m.utilization);
+}
+
+TEST(FaultAware, CheckpointingImprovesGoodputUnderHeavyFailures) {
+  // Long jobs + failing nodes (~1 failure/day across the machine):
+  // restart-from-scratch hemorrhages work; Daly checkpointing recovers
+  // most of it.
+  const auto specs = small_trace(120, 1500.0, 4, 6.0 * 3600.0, 24.0 * 3600.0);
+  const FailingRun naked = run_failing(specs, 64, 60.0 * 86400.0, false);
+  const FailingRun ckpt = run_failing(specs, 64, 60.0 * 86400.0, true);
+  EXPECT_GT(naked.summary.requeues, 0u);
+  EXPECT_GT(ckpt.goodput, naked.goodput);
+  EXPECT_LT(ckpt.wasted, naked.wasted);
+}
+
+TEST(FaultAware, DeterministicForSeed) {
+  const auto specs = small_trace(100, 600.0, 5);
+  const FailingRun a = run_failing(specs, 32, 10.0 * 86400.0, true);
+  const FailingRun b = run_failing(specs, 32, 10.0 * 86400.0, true);
+  EXPECT_GT(a.summary.requeues, 0u);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.summary.requeues, b.summary.requeues);
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+}
+
+TEST(FaultAware, RejectsOversizedJob) {
+  JobSpec s = whole_machine_job(0.0);
+  s.width = 100;
+  EXPECT_THROW(run_failing({s}, 4, 1e15, false), support::ContractViolation);
 }
 
 }  // namespace

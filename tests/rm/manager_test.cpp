@@ -1,13 +1,11 @@
 // ResourceManager scheduling semantics.
 //
-// The load-bearing pin: with RmConfig::legacy_fcfs() the DES-service
-// manager reproduces the legacy sched::Simulator FCFS schedule
-// job-for-job on a whole-second multi-user trace (times compared at tick
-// resolution, where integral seconds are exact).  Around it: EASY
-// backfill strictly helps mean wait and never loses a job, conservative
-// backfill completes everything, priority preemption restarts victims
-// with the waste accounted, reservations hold their window, fair share
-// reorders equal-priority users, and topology placement stays contiguous.
+// EASY backfill strictly helps mean wait over plain FCFS and never loses
+// a job, conservative backfill completes everything, priority preemption
+// restarts victims with the waste accounted, reservations hold their
+// window, fair share reorders equal-priority users, and topology
+// placement stays contiguous.  (The classic policies themselves are
+// pinned in policy_test.cpp.)
 #include "polaris/rm/manager.hpp"
 
 #include <gtest/gtest.h>
@@ -18,30 +16,14 @@
 #include "polaris/des/engine.hpp"
 #include "polaris/des/time.hpp"
 #include "polaris/fabric/topology.hpp"
-#include "polaris/sched/scheduler.hpp"
 #include "polaris/workload/job_mix.hpp"
 
 namespace polaris::rm {
 namespace {
 
-// Integral-second times are exact in the tick domain; comparing ticks
-// sidesteps the one-ulp noise of double<->tick round trips.
+// Comparing ticks sidesteps the one-ulp noise of double<->tick round
+// trips.
 std::int64_t ticks(double seconds) { return des::from_seconds(seconds); }
-
-std::vector<sched::Job> to_legacy(const std::vector<JobSpec>& specs) {
-  std::vector<sched::Job> jobs;
-  jobs.reserve(specs.size());
-  for (const JobSpec& s : specs) {
-    sched::Job j;
-    j.id = s.id;
-    j.submit = s.submit;
-    j.runtime = s.runtime;
-    j.estimate = s.estimate;
-    j.width = s.width;
-    jobs.push_back(j);
-  }
-  return jobs;
-}
 
 std::vector<JobSpec> saturating_trace(std::size_t count, std::uint64_t seed) {
   workload::MultiUserTraceConfig cfg;
@@ -52,48 +34,20 @@ std::vector<JobSpec> saturating_trace(std::size_t count, std::uint64_t seed) {
   cfg.max_width_exp = 5;  // widths <= 32 on a 64-node machine
   cfg.min_runtime = 60.0;
   cfg.max_runtime = 2.0 * 3600.0;
-  cfg.integral_times = true;
   return workload::make_multi_user_trace(cfg, seed);
-}
-
-TEST(ResourceManagerTest, LegacyFcfsEquivalenceJobForJob) {
-  const std::vector<JobSpec> specs = saturating_trace(400, 42);
-  constexpr std::size_t kNodes = 64;
-
-  std::vector<sched::Job> legacy = to_legacy(specs);
-  const sched::SchedMetrics m =
-      sched::run_scheduler(legacy, kNodes, sched::Policy::kFcfs);
-  ASSERT_EQ(m.jobs, specs.size());
-
-  des::Engine engine;
-  ResourceManager rm(engine, kNodes, RmConfig::legacy_fcfs());
-  for (const JobSpec& s : specs) rm.submit(s);
-  engine.run();
-
-  for (const sched::Job& j : legacy) {
-    const JobRecord* rec = rm.accounting().find(j.id);
-    ASSERT_NE(rec, nullptr) << "job " << j.id;
-    EXPECT_EQ(rec->state, JobState::kCompleted) << "job " << j.id;
-    EXPECT_EQ(ticks(rec->start), ticks(j.start)) << "job " << j.id;
-    EXPECT_EQ(ticks(rec->finish), ticks(j.finish)) << "job " << j.id;
-  }
-  const ResourceManager::Summary s = rm.summary();
-  EXPECT_EQ(s.completed, specs.size());
-  EXPECT_EQ(s.backfilled, 0u);
-  EXPECT_EQ(s.preemptions, 0u);
-  EXPECT_EQ(rm.queue_depth(), 0u);
-  EXPECT_EQ(rm.running_jobs(), 0u);
-  EXPECT_NEAR(s.mean_wait, m.mean_wait, 1e-6);
-  EXPECT_NEAR(s.mean_bounded_slowdown, m.mean_bounded_slowdown, 1e-6);
 }
 
 TEST(ResourceManagerTest, EasyBackfillImprovesMeanWait) {
   const std::vector<JobSpec> specs = saturating_trace(400, 42);
   constexpr std::size_t kNodes = 64;
 
-  std::vector<sched::Job> legacy = to_legacy(specs);
-  const sched::SchedMetrics fcfs =
-      sched::run_scheduler(legacy, kNodes, sched::Policy::kFcfs);
+  des::Engine fcfs_engine;
+  ResourceManager fcfs_rm(fcfs_engine, kNodes, RmConfig::legacy_fcfs());
+  for (const JobSpec& s : specs) fcfs_rm.submit(s);
+  fcfs_engine.run();
+  const ResourceManager::Summary fcfs = fcfs_rm.summary();
+  ASSERT_EQ(fcfs.completed, specs.size());
+  EXPECT_EQ(fcfs.backfilled, 0u);
 
   RmConfig cfg = RmConfig::legacy_fcfs();
   cfg.backfill = true;
