@@ -1,8 +1,9 @@
 // D1 — DES core throughput: the ceiling on every other experiment.
 //
 // Measures schedule/fire and schedule/cancel event throughput of the pooled
-// timer-wheel + 4-ary-heap engine against an in-file replica of the seed
-// engine
+// timer-wheel + 4-ary-heap engine, for boxed closures and for the raw
+// (fn, ctx) events most of the simulator schedules, against an in-file
+// replica of the seed engine
 // (std::priority_queue + unordered_set cancellation + a callback wrapper
 // that heap-allocates every target, exactly as the seed's UniqueFunction
 // did), plus the coroutine resume rate that bounds simulated-rank progress,
@@ -146,6 +147,32 @@ double bench_schedule_fire(std::uint64_t events, std::uint64_t depth) {
   return static_cast<double>(events + depth) / seconds_since(t0);
 }
 
+/// The same churn through raw (fn, ctx) events, the engine's native form
+/// (fabric walkers, pdes ranks and coroutine resumes all take it).  Same
+/// LCG, so the same event count as bench_schedule_fire.
+double bench_schedule_fire_raw(std::uint64_t events, std::uint64_t depth) {
+  struct Churn {
+    polaris::des::Engine eng;
+    std::uint64_t remaining = 0;
+    std::uint32_t lcg = 0x1234567;
+    static void tick(void* p) {
+      auto* c = static_cast<Churn*>(p);
+      if (c->remaining == 0) return;
+      --c->remaining;
+      c->lcg = c->lcg * 1664525u + 1013904223u;
+      c->eng.schedule_raw_after(1 + (c->lcg >> 20), &tick, c);
+    }
+  };
+  Churn c;
+  c.remaining = events;
+  for (std::uint64_t i = 0; i < depth; ++i) {
+    c.eng.schedule_raw_after(1 + static_cast<SimTime>(i), &Churn::tick, &c);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  c.eng.run();
+  return static_cast<double>(events + depth) / seconds_since(t0);
+}
+
 /// Schedule bursts and cancel 7/8 of them before they fire (the protocol
 /// timeout pattern: almost every timeout is cancelled by the ack).
 /// Returns (schedule+cancel+fire) operations per second.
@@ -283,6 +310,13 @@ int main() {
         support::Table::to_cell(deep_new / 1e6),
         support::Table::to_cell(deep_new / deep_seed));
 
+  const double fire_raw = bench_schedule_fire_raw(events, depth);
+  t.add("raw schedule+fire", std::string("-"),
+        support::Table::to_cell(fire_raw / 1e6), std::string("-"));
+  const double deep_raw = bench_schedule_fire_raw(events, deep);
+  t.add("raw schedule+fire deep", std::string("-"),
+        support::Table::to_cell(deep_raw / 1e6), std::string("-"));
+
   const double cancel_seed = bench_schedule_cancel<SeedEngine>(bursts, burst);
   const double cancel_new = bench_schedule_cancel<RealEngine>(bursts, burst);
   t.add("schedule+cancel", support::Table::to_cell(cancel_seed / 1e6),
@@ -295,11 +329,15 @@ int main() {
   t.add("coroutine resume", std::string("-"),
         support::Table::to_cell(resume / 1e6), std::string("-"));
   t.print(std::cout);
+  std::cout << "queue bytes per pending event (node + heap entry): "
+            << polaris::des::Engine::kQueuedEventBytes << "\n";
 
   bench::Report des_report(
       "bench_d1_des_core",
       "DES engine schedule/fire/cancel throughput, seed replica vs pooled "
-      "timer-wheel + 4-ary-heap engine, plus coroutine resume rate");
+      "timer-wheel + 4-ary-heap engine (boxed closures and raw events), "
+      "coroutine resume rate and queue bytes per pending event");
+  des_report.note_host();
   des_report.note("budget_ms", std::to_string(budget_ms));
   des_report.note("queue_depth", std::to_string(depth));
   des_report.note("deep_queue_depth", std::to_string(deep));
@@ -312,11 +350,17 @@ int main() {
   des_report.add("pooled.schedule_fire_deep.events_per_sec", deep_new,
                  "events/s");
   des_report.add("schedule_fire_deep.speedup", deep_new / deep_seed, "x");
+  des_report.add("raw.schedule_fire.events_per_sec", fire_raw, "events/s");
+  des_report.add("raw.schedule_fire_deep.events_per_sec", deep_raw,
+                 "events/s");
   des_report.add("seed.schedule_cancel.ops_per_sec", cancel_seed, "ops/s");
   des_report.add("pooled.schedule_cancel.ops_per_sec", cancel_new, "ops/s");
   des_report.add("schedule_cancel.speedup", cancel_new / cancel_seed, "x");
   des_report.add("pooled.coroutine_resume.resumes_per_sec", resume,
                  "resumes/s");
+  des_report.add("pooled.bytes_per_queued_event",
+                 static_cast<double>(polaris::des::Engine::kQueuedEventBytes),
+                 "bytes");
   if (!des_report.write_file("BENCH_DES.json")) {
     std::cerr << "warning: could not write BENCH_DES.json\n";
   }

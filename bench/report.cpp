@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 namespace polaris::bench {
 
@@ -50,6 +51,38 @@ void write_number(std::ostream& os, double v) {
 }
 
 }  // namespace
+
+void Report::note_host() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  note("host.cpu_model", cpu);
+  note("host.hardware_concurrency",
+       std::to_string(std::thread::hardware_concurrency()));
+#if defined(__clang__)
+  note("host.compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  note("host.compiler", std::string("gcc ") + __VERSION__);
+#endif
+#if defined(__OPTIMIZE__)
+  note("host.optimized", "yes");
+#else
+  note("host.optimized", "no");
+#endif
+#if defined(NDEBUG)
+  note("host.ndebug", "yes");
+#else
+  note("host.ndebug", "no");
+#endif
+}
 
 void Report::write(std::ostream& os) const {
   os << "{\n";

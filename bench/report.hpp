@@ -31,6 +31,10 @@ class Report {
     notes_.emplace_back(std::move(key), std::move(value));
   }
 
+  /// Notes the host the numbers come from: CPU model, hardware threads,
+  /// compiler, and whether this build is optimized and NDEBUG.
+  void note_host();
+
   void write(std::ostream& os) const;
 
   /// Writes the JSON file; returns false when the file can't be opened.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -120,32 +121,71 @@ std::uint32_t Engine::acquire_node() {
 
 void Engine::release_node(std::uint32_t slot) {
   EventNode& n = pool_[slot];
-  n.cb = Callback();  // drop captured state (coroutine handles, owners) now
-  n.cancelled = false;
-  ++n.gen;  // invalidates every outstanding EventId for this slot
+  // Clearing the tombstone and bumping invalidates every outstanding
+  // EventId for this slot.
+  n.gen = ((n.gen & ~kTombstone) + 1) & ~kTombstone;
   free_.push_back(slot);
 }
 
+void Engine::run_box(void*) {
+  POLARIS_CHECK_MSG(false, "boxed events are unboxed by the engine");
+}
+
+Engine::Callback Engine::take_box(void* index) {
+  const auto b =
+      static_cast<std::uint32_t>(reinterpret_cast<std::uintptr_t>(index));
+  Callback cb = std::move(boxes_[b]);
+  free_boxes_.push_back(b);
+  return cb;
+}
+
+void Engine::reap(std::uint32_t slot) {
+  const EventNode& n = pool_[slot];
+  // Drop captured state (coroutine tasks, owners) now.  The callable dies
+  // as a local, after the box vector is consistent again, because its
+  // destructor may schedule.
+  Callback dead;
+  if (n.fn == &run_box) dead = take_box(n.ctx);
+  release_node(slot);
+  ++stats_.cancelled_skipped;
+}
+
 void Engine::reap_cancelled_top() {
-  while (!heap_.empty() && pool_[heap_[0].slot].cancelled) {
+  while (!heap_.empty() && tombstoned(pool_[heap_[0].slot])) {
     const std::uint32_t slot = heap_[0].slot;
     heap_pop_top();
-    release_node(slot);
-    ++stats_.cancelled_skipped;
+    reap(slot);
   }
 }
 
 // ----------------------------------------------------------- scheduling
 
 EventId Engine::schedule_at(SimTime t, Callback&& cb) {
+  // Checked before boxing, so a rejected callable takes no box.
+  POLARIS_CHECK_MSG(t >= now_, "cannot schedule into the simulated past");
+  std::uint32_t b;
+  if (!free_boxes_.empty()) {
+    b = free_boxes_.back();
+    free_boxes_.pop_back();
+    boxes_[b] = std::move(cb);
+  } else {
+    b = static_cast<std::uint32_t>(boxes_.size());
+    boxes_.push_back(std::move(cb));
+  }
+  if (boxes_[b].heap_allocated()) ++stats_.sbo_misses;
+  return schedule_raw_at(
+      t, &run_box, reinterpret_cast<void*>(static_cast<std::uintptr_t>(b)));
+}
+
+EventId Engine::schedule_raw_at(SimTime t, RawCallback fn, void* ctx) {
   POLARIS_CHECK_MSG(t >= now_, "cannot schedule into the simulated past");
   const std::uint64_t seq = next_seq_++;
   const std::uint32_t slot = acquire_node();
   EventNode& n = pool_[slot];
   n.t = t;
   n.seq = seq;
-  n.cb = std::move(cb);
-  if (n.cb.heap_allocated()) ++stats_.sbo_misses;
+  n.fn = fn;
+  n.ctx = ctx;
   if (static_cast<std::uint64_t>(t - now_) < kWheelSpan) {
     const std::size_t b = static_cast<std::size_t>(t) & kWheelMask;
     Bucket& bk = buckets_[b];
@@ -168,18 +208,6 @@ EventId Engine::schedule_at(SimTime t, Callback&& cb) {
   return EventId{slot, n.gen};
 }
 
-EventId Engine::schedule_raw_at(SimTime t, RawCallback fn, void* ctx) {
-  // A 16-byte trivially-copyable capture: always inline in the
-  // UniqueFunction (no manage function, memcpy moves), so raw scheduling
-  // is exactly as cheap as the coroutine-resume fast path.
-  struct RawThunk {
-    RawCallback fn;
-    void* ctx;
-    void operator()() const { fn(ctx); }
-  };
-  return schedule_at(t, RawThunk{fn, ctx});
-}
-
 bool Engine::step() { return step_bounded(std::numeric_limits<SimTime>::max()); }
 
 bool Engine::step_bounded(SimTime until) {
@@ -192,10 +220,9 @@ bool Engine::step_bounded(SimTime until) {
     const std::size_t b =
         next_bucket(static_cast<std::size_t>(now_) & kWheelMask);
     const std::uint32_t head = buckets_[b].head;
-    if (pool_[head].cancelled) {
+    if (tombstoned(pool_[head])) {
       unlink_bucket_head(b);
-      release_node(head);
-      ++stats_.cancelled_skipped;
+      reap(head);
       continue;
     }
     wheel_slot = head;
@@ -232,10 +259,15 @@ bool Engine::step_bounded(SimTime until) {
   // Release the node before invoking: the callback may schedule (reusing
   // this slot) and a later cancel of this fired event must see a bumped
   // generation.
-  Callback cb = std::move(n.cb);
+  const RawCallback fn = n.fn;
+  void* const ctx = n.ctx;
   release_node(slot);
   ++executed_;
-  cb();
+  if (fn == &run_box) {
+    take_box(ctx)();
+  } else {
+    fn(ctx);
+  }
   return true;
 }
 

@@ -16,25 +16,31 @@
 //    with the heap top and breaks time ties on sequence number — total
 //    order across both structures is identical to a single queue.
 //
-// Event nodes live in a slab pool with a free list: scheduling reuses a
-// node instead of touching the allocator, and callbacks are stored in a
-// small-buffer-optimized UniqueFunction, so the common coroutine-resume
-// event allocates nothing.
+// Event nodes live in a slab pool with a free list, and every node is the
+// same 40 bytes: the (time, sequence) key, a raw `fn(ctx)` callback, the
+// wheel-bucket link and a generation counter.  Nearly every event already
+// is a raw pair — the fabric walkers and flights, the simrt wire leg, serve,
+// rm and pdes — or a coroutine resume, which schedule_resume_after turns
+// into one shared raw callback on the handle's address.  General callables
+// (spawn, fault injection, tests) are boxed in a slab of UniqueFunctions
+// beside the queue; their node carries the box index, and the box is freed
+// when the event fires or its tombstone is reaped.
 //
 // Cancellation is O(1) and leak-free: an EventId carries the node's pool
-// slot plus a generation counter; cancel() flips a tombstone flag on the
-// live node, and the node is reaped (returned to the pool) when it reaches
-// the front of its bucket or the top of the heap.  Firing or reaping bumps
-// the generation, so a stale EventId — including one for an already-fired
-// event — is recognized by the generation mismatch and ignored without
-// retaining any state, unlike the earlier unordered_set design that kept
-// cancelled-after-fire sequence numbers forever.
+// slot plus a generation counter; cancel() sets the tombstone bit of the
+// live node's generation, and the node is reaped (returned to the pool)
+// when it reaches the front of its bucket or the top of the heap.  Firing
+// or reaping bumps the generation, so a stale EventId — including one for
+// an already-fired event — is recognized by the generation mismatch and
+// ignored without retaining any state, unlike the earlier unordered_set
+// design that kept cancelled-after-fire sequence numbers forever.
 //
 // Coroutine-based processes (see task.hpp) are resumed exclusively through
 // scheduled events, which bounds recursion depth and gives every resumption
 // a well-defined simulated time.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <exception>
 #include <limits>
@@ -62,20 +68,20 @@ struct EngineStats {
   std::uint64_t executed = 0;           ///< events run to completion
   std::uint64_t cancelled_skipped = 0;  ///< tombstones reaped at pop
   std::size_t max_queue_depth = 0;      ///< event-queue high watermark
-  std::uint64_t sbo_misses = 0;   ///< callbacks too big for inline storage
+  std::uint64_t sbo_misses = 0;   ///< boxed callables spilled to the heap
   std::size_t pool_capacity = 0;  ///< event nodes ever allocated
   std::size_t pool_in_use = 0;    ///< nodes currently holding queued events
   std::size_t max_pool_in_use = 0;  ///< pool-occupancy high watermark
+  std::size_t box_capacity = 0;     ///< callable boxes ever allocated
 };
 
 class Engine {
  public:
   using Callback = support::UniqueFunction<void()>;
 
-  /// Raw callback form for hot non-coroutine state machines (e.g. the
-  /// fabric packet walkers): a plain function pointer plus a context
-  /// pointer.  Scheduling one never touches the allocator and its stored
-  /// form is trivially movable, so it always takes the SBO fast path.
+  /// Raw callback form, the engine's native event: a plain function
+  /// pointer plus a context pointer, stored directly in the event node.
+  /// Scheduling one never touches the allocator.
   using RawCallback = void (*)(void*);
 
   Engine();
@@ -85,9 +91,9 @@ class Engine {
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).  Takes the
-  /// callback by rvalue reference so the hot path pays exactly one move
-  /// (into the pooled event node).
+  /// Schedules `cb` at absolute time `t` (must be >= now()).  The callable
+  /// is moved into a pooled box beside the queue; prefer schedule_raw_* or
+  /// schedule_resume_after on hot paths.
   EventId schedule_at(SimTime t, Callback&& cb);
 
   /// Schedules `cb` at now() + dt (dt >= 0).
@@ -105,12 +111,19 @@ class Engine {
     return schedule_raw_at(now_ + dt, fn, ctx);
   }
 
+  /// Schedules `h.resume()` at now() + dt: a raw event on the handle's
+  /// address through the one shared resume callback.  Every coroutine
+  /// wakeup (delay, Trigger, Mailbox, Semaphore, OneShotEvent) takes it.
+  EventId schedule_resume_after(SimTime dt, std::coroutine_handle<> h) {
+    return schedule_raw_at(now_ + dt, &resume_handle, h.address());
+  }
+
   /// Cancels a pending event in O(1).  Cancelling an already-fired or
   /// already-cancelled event is a no-op (the generation no longer matches).
   void cancel(EventId id) {
     if (id.slot >= pool_.size()) return;
     EventNode& n = pool_[id.slot];
-    if (n.gen == id.gen) n.cancelled = true;
+    if (n.gen == id.gen) n.gen |= kTombstone;
   }
 
   /// Runs until the event queue is empty or stop() is called.  Returns the
@@ -140,6 +153,7 @@ class Engine {
     s.executed = executed_;
     s.pool_capacity = pool_.size();
     s.pool_in_use = pool_.size() - free_.size();
+    s.box_capacity = boxes_.size();
     return s;
   }
 
@@ -171,6 +185,10 @@ class Engine {
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffff'ffffu;
+  /// Generation bit marking a cancelled (tombstoned) node.  Live nodes and
+  /// the EventIds handed out never carry it, so setting it also makes
+  /// every later cancel of the same id a mismatch (idempotent).
+  static constexpr std::uint32_t kTombstone = 0x8000'0000u;
   /// Wheel geometry: one bucket per simulated tick, span 8192 ticks.
   static constexpr std::size_t kWheelBits = 13;
   static constexpr std::size_t kWheelSpan = std::size_t{1} << kWheelBits;
@@ -180,15 +198,17 @@ class Engine {
 
   /// Pooled event state.  The (t, seq) key is duplicated into the heap
   /// entry so sift compares never chase the pool pointer; `next` chains
-  /// wheel-bucket FIFOs.
+  /// wheel-bucket FIFOs; `gen` carries the tombstone bit.  A boxed
+  /// callable is `fn == &run_box` with the box index in `ctx`.
   struct EventNode {
-    Callback cb;
     SimTime t = 0;
     std::uint64_t seq = 0;
+    RawCallback fn = nullptr;
+    void* ctx = nullptr;
     std::uint32_t next = kNilSlot;
     std::uint32_t gen = 0;
-    bool cancelled = false;
   };
+  static_assert(sizeof(EventNode) == 40, "event nodes stay 40 bytes");
   /// One heap slot: the full ordering key plus the owning pool slot.
   struct HeapEntry {
     SimTime t;
@@ -201,6 +221,13 @@ class Engine {
     std::uint32_t tail = kNilSlot;
   };
 
+ public:
+  /// Queue memory per pending event at most: its pool node plus a
+  /// far-future heap entry (near events sit in the fixed wheel instead).
+  static constexpr std::size_t kQueuedEventBytes =
+      sizeof(EventNode) + sizeof(HeapEntry);
+
+ private:
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
@@ -209,9 +236,23 @@ class Engine {
   void heap_push(HeapEntry e);
   void heap_pop_top();
 
+  static void resume_handle(void* address) {
+    std::coroutine_handle<>::from_address(address).resume();
+  }
+  /// Marker callback of boxed events; never invoked (step() unboxes).
+  static void run_box(void* box);
+
+  static bool tombstoned(const EventNode& n) {
+    return (n.gen & kTombstone) != 0;
+  }
+
   std::uint32_t acquire_node();
   void release_node(std::uint32_t slot);
+  /// Returns a tombstoned node to the pool, destroying its box, if any.
+  void reap(std::uint32_t slot);
   void reap_cancelled_top();  ///< Reaps tombstones sitting at the heap top.
+  /// Moves the callable out of box `index` and frees the box.
+  Callback take_box(void* index);
 
   void set_bucket_bit(std::size_t b);
   void clear_bucket_bit(std::size_t b);
@@ -227,6 +268,8 @@ class Engine {
   std::vector<HeapEntry> heap_;  ///< 4-ary implicit min-heap on (t, seq)
   std::vector<EventNode> pool_;
   std::vector<std::uint32_t> free_;  ///< pool slots ready for reuse
+  std::vector<Callback> boxes_;      ///< boxed general callables
+  std::vector<std::uint32_t> free_boxes_;  ///< box slots ready for reuse
   std::vector<Bucket> buckets_;      ///< kWheelSpan one-tick FIFOs
   std::uint64_t bitmap_[kWheelWords] = {};   ///< bit per occupied bucket
   std::uint64_t summary_[kSummaryWords] = {};  ///< bit per nonzero word

@@ -2,24 +2,62 @@
 // triggers, value mailboxes, and counting semaphores (used for resource
 // serialization, e.g. modelling link occupancy).
 //
-// All resumptions are funnelled through Engine::schedule_after(0, ...) so
+// All resumptions are funnelled through Engine::schedule_resume_after(0, h)
+// — a raw event on the handle's address, which allocates nothing — so
 // same-time wakeups execute in FIFO order, recursion depth stays bounded,
 // and a primitive may be fired from inside another coroutine safely.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "polaris/des/engine.hpp"
 #include "polaris/support/check.hpp"
 
 namespace polaris::des {
 
+namespace detail {
+
+/// FIFO on one vector with a moving head.  A pop advances the head; the
+/// vector is reset when it drains and compacted once the popped prefix is
+/// half of it, so a queue of bounded depth stops allocating once the vector
+/// fits it (std::deque frees and reallocates a block every few dozen
+/// elements that pass through).
+template <typename T>
+class Fifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  T& front() { return items_[head_]; }
+  void push(T v) { items_.push_back(std::move(v)); }
+  T pop() {
+    T v = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return v;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace detail
+
 /// One-shot event: coroutines await it; fire() releases all current and
-/// future waiters.  Await-after-fire completes immediately.
+/// future waiters.  Await-after-fire completes immediately.  The first
+/// waiter is held inline, so a Trigger with a single waiter never
+/// allocates.
 class Trigger {
  public:
   explicit Trigger(Engine& engine) : engine_(&engine) {}
@@ -27,21 +65,26 @@ class Trigger {
 
   bool fired() const { return fired_; }
 
-  /// Fires the trigger.  Idempotent.
+  /// Fires the trigger, waking waiters in the order they arrived.
+  /// Idempotent.
   void fire() {
     if (fired_) return;
     fired_ = true;
-    for (auto h : waiters_) {
-      engine_->schedule_after(0, [h] { h.resume(); });
-    }
-    waiters_.clear();
+    if (first_) engine_->schedule_resume_after(0, first_);
+    for (auto h : more_) engine_->schedule_resume_after(0, h);
+    first_ = {};
+    more_.clear();
   }
 
   struct Awaiter {
     Trigger& trigger;
     bool await_ready() const noexcept { return trigger.fired_; }
     void await_suspend(std::coroutine_handle<> h) {
-      trigger.waiters_.push_back(h);
+      if (!trigger.first_) {
+        trigger.first_ = h;
+      } else {
+        trigger.more_.push_back(h);
+      }
     }
     void await_resume() const noexcept {}
   };
@@ -52,16 +95,16 @@ class Trigger {
  private:
   Engine* engine_;
   bool fired_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_{};
+  std::vector<std::coroutine_handle<>> more_;
 };
 
 /// Intrusive single-waiter one-shot: the pooled counterpart of Trigger for
 /// hot paths that embed completion state in slab records (e.g. the simrt
 /// in-flight pool).  Two words, no engine pointer, never allocates, and
 /// reset() rearms it for slab reuse.  fire() funnels the waiter through a
-/// zero-delay event exactly as Trigger does (raw-callback form, which also
-/// takes the engine's SBO fast path), so wakeup ordering is identical:
-/// swapping one for the other cannot shift simulated timing.
+/// zero-delay resume event exactly as Trigger does, so wakeup ordering is
+/// identical: swapping one for the other cannot shift simulated timing.
 class OneShotEvent {
  public:
   bool fired() const { return fired_; }
@@ -72,7 +115,7 @@ class OneShotEvent {
     if (fired_) return;
     fired_ = true;
     if (waiter_) {
-      engine.schedule_raw_after(0, &resume_cb, waiter_.address());
+      engine.schedule_resume_after(0, waiter_);
       waiter_ = {};
     }
   }
@@ -98,10 +141,6 @@ class OneShotEvent {
   Awaiter operator co_await() { return Awaiter{*this}; }
 
  private:
-  static void resume_cb(void* ctx) {
-    std::coroutine_handle<>::from_address(ctx).resume();
-  }
-
   bool fired_ = false;
   std::coroutine_handle<> waiter_{};
 };
@@ -123,13 +162,12 @@ class Mailbox {
   /// Deposits a value; wakes the oldest waiting consumer, if any.
   void push(T value) {
     if (!consumers_.empty()) {
-      Waiter* w = consumers_.front();
-      consumers_.pop_front();
+      Waiter* w = consumers_.pop();
       w->value.emplace(std::move(value));
       auto h = w->handle;
-      engine_->schedule_after(0, [h] { h.resume(); });
+      engine_->schedule_resume_after(0, h);
     } else {
-      values_.push_back(std::move(value));
+      values_.push(std::move(value));
     }
   }
 
@@ -143,16 +181,14 @@ class Mailbox {
     bool await_ready() noexcept { return !mb.values_.empty(); }
     void await_suspend(std::coroutine_handle<> h) {
       self.handle = h;
-      mb.consumers_.push_back(&self);
+      mb.consumers_.push(&self);
     }
     T await_resume() {
       if (self.value.has_value()) {
         return std::move(*self.value);
       }
       POLARIS_CHECK(!mb.values_.empty());
-      T v = std::move(mb.values_.front());
-      mb.values_.pop_front();
-      return v;
+      return mb.values_.pop();
     }
   };
 
@@ -162,17 +198,15 @@ class Mailbox {
   /// Non-blocking take.
   std::optional<T> try_get() {
     if (values_.empty()) return std::nullopt;
-    T v = std::move(values_.front());
-    values_.pop_front();
-    return v;
+    return values_.pop();
   }
 
  private:
   friend struct GetAwaiter;
 
   Engine* engine_;
-  std::deque<T> values_;
-  std::deque<Waiter*> consumers_;
+  detail::Fifo<T> values_;
+  detail::Fifo<Waiter*> consumers_;
 };
 
 /// Counting semaphore with FIFO grant order; models contended resources
@@ -202,7 +236,7 @@ class Semaphore {
     }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
-      sem.waiters_.push_back(this);
+      sem.waiters_.push(this);
     }
     void await_resume() const noexcept {}
   };
@@ -226,17 +260,16 @@ class Semaphore {
 
   void grant() {
     while (!waiters_.empty() && waiters_.front()->n <= count_) {
-      AcquireAwaiter* w = waiters_.front();
-      waiters_.pop_front();
+      AcquireAwaiter* w = waiters_.pop();
       count_ -= w->n;
       auto h = w->handle;
-      engine_->schedule_after(0, [h] { h.resume(); });
+      engine_->schedule_resume_after(0, h);
     }
   }
 
   Engine* engine_;
   std::int64_t count_;
-  std::deque<AcquireAwaiter*> waiters_;
+  detail::Fifo<AcquireAwaiter*> waiters_;
 };
 
 /// Join-counter for fan-out/fan-in: arm() before spawning each child,

@@ -161,7 +161,7 @@ class DelayAwaiter {
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    engine_.schedule_after(dt_, [h] { h.resume(); });
+    engine_.schedule_resume_after(dt_, h);
   }
   void await_resume() const noexcept {}
 

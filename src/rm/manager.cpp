@@ -14,6 +14,13 @@ namespace polaris::rm {
 
 namespace {
 
+/// Queue wait for reporting.  Start stamps are tick-rounded while submit
+/// keeps the caller's double, so a job started at its own arrival can
+/// stamp up to half a nanosecond before `submit`; that reads as no wait.
+double queue_wait(double start, double submit) {
+  return std::max(0.0, start - submit);
+}
+
 /// Cycle-local capacity profile for conservative backfill: a step function
 /// of free nodes over future time, seeded from the running set's planned
 /// completions.  Each scanned job reserves the earliest window that fits,
@@ -286,7 +293,7 @@ void ResourceManager::start_job(RmJob& job, bool via_backfill) {
   if (h_wait_) {
     // Sim-seconds -> integer microseconds for the log-bucketed histogram.
     h_wait_->record(static_cast<std::uint64_t>(
-        (job.start - job.spec.submit) * 1e6));
+        queue_wait(job.start, job.spec.submit) * 1e6));
   }
 }
 
@@ -665,7 +672,7 @@ ResourceManager::Summary ResourceManager::summary() const {
     ++s.jobs;
     if (r.state != JobState::kCompleted) continue;
     ++s.completed;
-    waits.add(r.start - r.submit);
+    waits.add(queue_wait(r.start, r.submit));
     const double runtime = r.finish - r.start;
     slowdown_sum +=
         std::max(1.0, (r.finish - r.submit) / std::max(runtime, 10.0));

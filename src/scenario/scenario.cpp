@@ -21,11 +21,15 @@ void append_check(const CheckOutcome& c, bool monitor, std::string& out) {
   out += ",\"passed\":";
   out += c.passed ? "true" : "false";
   if (monitor) {
-    out += ",\"checks\":" + std::to_string(c.checks);
-    out += ",\"violations\":" + std::to_string(c.violations);
-    out += ",\"first_violation_s\":" + fmt_double(c.first_violation_s);
+    out += ",\"checks\":";
+    out += std::to_string(c.checks);
+    out += ",\"violations\":";
+    out += std::to_string(c.violations);
+    out += ",\"first_violation_s\":";
+    out += fmt_double(c.first_violation_s);
   } else {
-    out += ",\"time_s\":" + fmt_double(c.time_s);
+    out += ",\"time_s\":";
+    out += fmt_double(c.time_s);
   }
   out += "}";
 }
@@ -34,21 +38,25 @@ void append_check(const CheckOutcome& c, bool monitor, std::string& out) {
 
 std::string Verdict::to_json() const {
   std::string out = "{";
-  out += "\"scenario\":" + Json::string(scenario).dump();
+  out += "\"scenario\":";
+  out += Json::string(scenario).dump();
   out += ",\"passed\":";
   out += passed ? "true" : "false";
   out += ",\"root\":\"";
   out += to_string(root);
   out += "\",\"monitors_clean\":";
   out += monitors_clean ? "true" : "false";
-  out += ",\"ticks\":" + std::to_string(ticks);
-  out += ",\"end_time_s\":" + fmt_double(end_time_s);
+  out += ",\"ticks\":";
+  out += std::to_string(ticks);
+  out += ",\"end_time_s\":";
+  out += fmt_double(end_time_s);
   out += ",\"trace_hash\":\"";
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(trace_hash));
   out += hex;
-  out += "\",\"trace_events\":" + std::to_string(trace_events);
+  out += "\",\"trace_events\":";
+  out += std::to_string(trace_events);
   out += ",\"asserts\":[";
   for (std::size_t i = 0; i < asserts.size(); ++i) {
     if (i) out += ",";
@@ -63,7 +71,8 @@ std::string Verdict::to_json() const {
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i) out += ",";
     out += Json::string(counters[i].first).dump();
-    out += ":" + fmt_double(counters[i].second);
+    out += ":";
+    out += fmt_double(counters[i].second);
   }
   out += "}}";
   return out;

@@ -40,7 +40,9 @@ class FlatMap64 {
   /// Pointer to the value for `key`, or nullptr.  Invalidated by the next
   /// insert or erase.
   V* find(std::uint64_t key) {
-    if (size_ == 0) return nullptr;
+    // Testing the array rather than size_ lets the optimizer see that an
+    // empty map never indexes its (unallocated) slots.
+    if (size_ == 0 || slots_.empty()) return nullptr;
     std::size_t i = probe_start(key);
     while (used_[i]) {
       if (slots_[i].key == key) return &slots_[i].value;

@@ -4,11 +4,11 @@
 // tasks).
 //
 // Callables that fit the inline buffer and are nothrow-move-constructible
-// are stored in place — no heap allocation.  The discrete-event engine's
-// typical callback (a lambda capturing one coroutine handle, or a handle
-// plus an owner pointer) is well under the 48-byte budget, so the schedule
-// hot path allocates nothing; larger captures fall back to the heap and
-// `heap_allocated()` lets callers count those misses.
+// are stored in place — no heap allocation.  The discrete-event engine
+// boxes its general callbacks (spawned processes, fault-injector lambdas)
+// in these; a capture of a few pointers fits the 48-byte budget, larger
+// captures fall back to the heap and `heap_allocated()` lets callers count
+// those misses.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +26,7 @@ template <typename R, typename... Args>
 class UniqueFunction<R(Args...)> {
  public:
   /// Inline storage budget.  Sized for the engine's common captures (a
-  /// coroutine handle plus a couple of pointers) with room to spare.
+  /// task or a handle plus a couple of pointers) with room to spare.
   static constexpr std::size_t kInlineBytes = 48;
 
   UniqueFunction() = default;
@@ -142,14 +142,14 @@ class UniqueFunction<R(Args...)> {
       if (manage_) {
         manage_(Op::kMoveFrom, storage_, other.storage_);
       } else {
-        // Trivial inline target: copying the whole buffer (including any
-        // uninitialized tail) is cheaper than a size dispatch.
+        // Trivial inline target: copying the whole buffer is cheaper than
+        // a size dispatch (storage_ starts zeroed, so the tail is defined).
         std::memcpy(storage_, other.storage_, kInlineBytes);
       }
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes] = {};
   Invoke invoke_ = nullptr;
   Manage manage_ = nullptr;
   bool inline_ = false;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "polaris/des/task.hpp"
 #include "polaris/support/check.hpp"
 
 namespace polaris::des {
@@ -252,14 +254,18 @@ TEST(Engine, RunUntilIgnoresCancelledEventAtHead) {
 
 TEST(Engine, CountsSboMissesForOversizedCallbacks) {
   Engine e;
-  e.schedule_at(1, [] {});  // tiny: inline
+  auto token = std::make_shared<int>(0);
+  e.schedule_raw_at(1, +[](void*) {}, nullptr);  // raw: never boxed
+  e.schedule_at(1, [] {});  // tiny: inline in its box
   struct Big {
     char pad[200] = {};
   };
   Big big;
-  e.schedule_at(2, [big] { (void)big; });  // oversized: heap fallback
+  e.schedule_at(2, [big, token] { (void)big; });  // oversized: heap fallback
+  EXPECT_EQ(e.stats().sbo_misses, 1u);
   e.run();
   EXPECT_EQ(e.stats().sbo_misses, 1u);
+  EXPECT_EQ(token.use_count(), 1);  // the spilled capture died with its box
 }
 
 TEST(Engine, PoolOccupancyTracksQueueDepth) {
@@ -340,6 +346,121 @@ TEST(Engine, NextEventTimeIsALowerBoundUnderCancel) {
   EXPECT_GE(e.next_event_time(), 3);
   e.run();
   EXPECT_EQ(e.now(), 10);
+}
+
+// ------------------------------------------------- raw / resume / boxed
+//
+// Event nodes hold only a raw (fn, ctx) pair; coroutine resumes are raw
+// events on the handle's address, and general callables live in a box
+// slab beside the queue.  These pin the box lifetime and the shared order.
+
+TEST(Engine, BoxedCaptureIsReleasedOnFire) {
+  Engine e;
+  auto token = std::make_shared<int>(0);
+  e.schedule_at(10, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  e.run();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Engine, BoxedCaptureIsReleasedWhenItsTombstoneIsReaped) {
+  Engine e;
+  auto token = std::make_shared<int>(0);
+  // One near (timer wheel) and one far (overflow heap) event: both reap
+  // paths must free the box.
+  const EventId near = e.schedule_at(10, [token] { ++*token; });
+  const EventId far = e.schedule_at(10 + 100'000, [token] { ++*token; });
+  e.schedule_at(20, [] {});
+  EXPECT_EQ(token.use_count(), 3);
+  e.cancel(near);
+  e.cancel(far);
+  EXPECT_EQ(token.use_count(), 3);  // held until the tombstones are reaped
+  e.run();
+  EXPECT_EQ(*token, 0);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(e.stats().cancelled_skipped, 2u);
+}
+
+TEST(Engine, PoolAndBoxCapacityStayFlatOverAMillionCycles) {
+  Engine e;
+  std::uint64_t fired = 0;
+  struct Ctx {
+    std::uint64_t* fired;
+  } ctx{&fired};
+  const Engine::RawCallback raw = +[](void* p) {
+    ++*static_cast<Ctx*>(p)->fired;
+  };
+  constexpr int kCycles = 1'000'000;
+  for (int i = 0; i < kCycles; ++i) {
+    // schedule/fire of a boxed and a raw event, then schedule/cancel of
+    // both, each cancelled one reaped by the run.
+    e.schedule_after(1, [&fired] { ++fired; });
+    e.schedule_raw_after(1, raw, &ctx);
+    e.cancel(e.schedule_after(1, [&fired] { ++fired; }));
+    e.cancel(e.schedule_raw_after(1, raw, &ctx));
+    e.run();
+  }
+  const EngineStats s = e.stats();
+  EXPECT_EQ(fired, 2u * kCycles);
+  EXPECT_EQ(s.cancelled_skipped, 2u * kCycles);
+  EXPECT_EQ(s.pool_in_use, 0u);
+  EXPECT_LE(s.pool_capacity, 4u);
+  EXPECT_LE(s.box_capacity, 2u);
+}
+
+TEST(Engine, StaleIdOfFiredBoxedEventIsNoop) {
+  Engine e;
+  int first = 0, second = 0;
+  const EventId id1 = e.schedule_at(10, [&] { ++first; });
+  e.run();
+  // The next boxed event reuses both the node and the box.
+  const EventId id2 = e.schedule_at(20, [&] { ++second; });
+  EXPECT_EQ(id1.slot, id2.slot);
+  e.cancel(id1);
+  e.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(e.stats().cancelled_skipped, 0u);
+  EXPECT_EQ(e.stats().box_capacity, 1u);
+}
+
+Task<void> record_after_delay(Engine& e, std::vector<int>& order, int tag) {
+  co_await delay(e, 5);
+  order.push_back(tag);
+}
+
+TEST(Engine, RawResumeAndBoxedEventsAtOneTickFireInScheduleOrder) {
+  Engine e;
+  std::vector<int> order;
+  struct Ctx {
+    std::vector<int>* order;
+    int tag;
+  };
+  const Engine::RawCallback record = +[](void* p) {
+    const auto* c = static_cast<Ctx*>(p);
+    c->order->push_back(c->tag);
+  };
+  Ctx first{&order, 1}, last{&order, 4};
+  e.schedule_raw_at(5, record, &first);
+  // The spawned process runs at t=0 and schedules its resume for t=5,
+  // after the raw event above and before the two below.
+  e.spawn(record_after_delay(e, order, 2));
+  e.run_until(0);
+  e.schedule_at(5, [&order] { order.push_back(3); });
+  e.schedule_raw_at(5, record, &last);
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(Engine, RejectedScheduleTakesNoBox) {
+  Engine e;
+  e.schedule_at(100, [&] {
+    EXPECT_THROW(e.schedule_at(50, [] {}), support::ContractViolation);
+    e.schedule_after(1, [] {});  // reuses the box this event just left
+  });
+  e.run();
+  EXPECT_EQ(e.stats().box_capacity, 1u);
 }
 
 TEST(TimeConversions, RoundTrip) {

@@ -16,6 +16,7 @@
 #include "polaris/des/engine.hpp"
 #include "polaris/des/time.hpp"
 #include "polaris/fabric/topology.hpp"
+#include "polaris/obs/metrics.hpp"
 #include "polaris/workload/job_mix.hpp"
 
 namespace polaris::rm {
@@ -278,6 +279,35 @@ TEST(ResourceManagerTest, TopologyPlacementIsContiguous) {
   EXPECT_EQ(s.completed, 4u);
   EXPECT_EQ(s.fragmented_allocs, 0u);
   EXPECT_EQ(rm.allocation_of(1), nullptr);  // released after completion
+}
+
+TEST(ResourceManagerTest, OffGridSubmitReportsNoNegativeWait) {
+  // A submit between two ticks: the arrival fires at the rounded tick, so
+  // the start stamp sits 0.4 ns below the caller's submit.  The ledger
+  // keeps that raw stamp; the reported wait clamps at zero.
+  des::Engine engine;
+  obs::MetricsRegistry metrics;
+  ResourceManager rm(engine, 4, RmConfig{});
+  rm.attach_metrics(metrics);
+  JobSpec s;
+  s.id = 1;
+  s.submit = 1.0000000004;
+  s.runtime = 10.0;
+  s.estimate = 10.0;
+  s.width = 1;
+  rm.submit(s);
+  engine.run();
+
+  const JobRecord* rec = rm.accounting().find(1);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_LT(rec->start, s.submit);
+  const ResourceManager::Summary sum = rm.summary();
+  ASSERT_EQ(sum.completed, 1u);
+  EXPECT_EQ(sum.mean_wait, 0.0);
+  EXPECT_EQ(sum.p95_wait, 0.0);
+  const obs::LogHistogram& h = metrics.log_histogram("rm.wait_time_us");
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.max(), 0u);
 }
 
 }  // namespace
