@@ -1,13 +1,12 @@
 // D1 — DES core throughput: the ceiling on every other experiment.
 //
 // Measures schedule/fire and schedule/cancel event throughput of the pooled
-// timer-wheel + 4-ary-heap engine, for boxed closures and for the raw
-// (fn, ctx) events most of the simulator schedules, against an in-file
-// replica of the seed engine
-// (std::priority_queue + unordered_set cancellation + a callback wrapper
-// that heap-allocates every target, exactly as the seed's UniqueFunction
-// did), plus the coroutine resume rate that bounds simulated-rank progress,
-// and the SweepRunner's multi-core scaling on independent engine instances.
+// timer-wheel + 4-ary-heap engine on raw (fn, ctx) events, its one event
+// kind, next to an in-file replica of the seed engine (std::priority_queue
+// + unordered_set cancellation + a callback wrapper that heap-allocates
+// every target) kept as history, plus the coroutine resume rate that bounds
+// simulated-rank progress, and the SweepRunner's multi-core scaling on
+// independent engine instances.
 //
 // Emits BENCH_DES.json and BENCH_SWEEP.json in the working directory so
 // successive PRs have a recorded perf trajectory.  POLARIS_BENCH_BUDGET_MS
@@ -20,7 +19,6 @@
 #include <iostream>
 #include <memory>
 #include <queue>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -42,7 +40,7 @@ using polaris::des::SimTime;
 // hash-set consulted (and mutated) per cancel/pop, and one heap allocation
 // per scheduled callback.
 
-/// The seed's UniqueFunction: unconditional unique_ptr type erasure.
+/// The seed's callback wrapper: unconditional unique_ptr type erasure.
 class HeapFunction {
  public:
   HeapFunction() = default;
@@ -125,12 +123,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Timer-wheel-style churn: `depth` self-rescheduling timers with mixed
-/// short/long deltas keep the queue at a realistic working depth while
-/// `events` total events fire.  Returns events/second.
-template <typename Engine>
-double bench_schedule_fire(std::uint64_t events, std::uint64_t depth) {
-  Engine eng;
+/// Timer-wheel-style churn on the seed replica: `depth` self-rescheduling
+/// timers with mixed short/long deltas keep the queue at a realistic
+/// working depth while `events` total events fire.  Returns events/second.
+double bench_schedule_fire_seed(std::uint64_t events, std::uint64_t depth) {
+  SeedEngine eng;
   std::uint64_t remaining = events;
   std::uint32_t lcg = 0x1234567;
   std::function<void()> tick = [&] {
@@ -147,9 +144,8 @@ double bench_schedule_fire(std::uint64_t events, std::uint64_t depth) {
   return static_cast<double>(events + depth) / seconds_since(t0);
 }
 
-/// The same churn through raw (fn, ctx) events, the engine's native form
-/// (fabric walkers, pdes ranks and coroutine resumes all take it).  Same
-/// LCG, so the same event count as bench_schedule_fire.
+/// The same churn on the engine's raw (fn, ctx) events.  Same LCG, so the
+/// same event count as bench_schedule_fire_seed.
 double bench_schedule_fire_raw(std::uint64_t events, std::uint64_t depth) {
   struct Churn {
     polaris::des::Engine eng;
@@ -173,6 +169,14 @@ double bench_schedule_fire_raw(std::uint64_t events, std::uint64_t depth) {
   return static_cast<double>(events + depth) / seconds_since(t0);
 }
 
+/// Schedules an event that does nothing, on either engine.
+SeedEngine::EventId schedule_nop(SeedEngine& eng, SimTime dt) {
+  return eng.schedule_after(dt, [] {});
+}
+polaris::des::EventId schedule_nop(polaris::des::Engine& eng, SimTime dt) {
+  return eng.schedule_raw_after(dt, +[](void*) {}, nullptr);
+}
+
 /// Schedule bursts and cancel 7/8 of them before they fire (the protocol
 /// timeout pattern: almost every timeout is cancelled by the ack).
 /// Returns (schedule+cancel+fire) operations per second.
@@ -181,12 +185,12 @@ double bench_schedule_cancel(std::uint64_t bursts, std::uint64_t burst) {
   Engine eng;
   std::uint64_t ops = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<typename Engine::EventId> ids;
+  std::vector<decltype(schedule_nop(eng, 0))> ids;
   ids.reserve(burst);
   for (std::uint64_t b = 0; b < bursts; ++b) {
     ids.clear();
     for (std::uint64_t i = 0; i < burst; ++i) {
-      ids.push_back(eng.schedule_after(1000 + i, [] {}));
+      ids.push_back(schedule_nop(eng, static_cast<SimTime>(1000 + i)));
     }
     for (std::uint64_t i = 0; i < burst; ++i) {
       if (i % 8 != 0) eng.cancel(ids[i]);
@@ -215,19 +219,6 @@ double bench_coroutine_resume(std::uint64_t procs, std::uint64_t rounds) {
   return static_cast<double>(procs * rounds) / seconds_since(t0);
 }
 
-// Adapter so the templated workloads can drive polaris::des::Engine with
-// the same surface as SeedEngine.
-struct RealEngine {
-  using EventId = polaris::des::EventId;
-  polaris::des::Engine eng;
-  SimTime now() const { return eng.now(); }
-  EventId schedule_after(SimTime dt, polaris::des::Engine::Callback cb) {
-    return eng.schedule_after(dt, std::move(cb));
-  }
-  void cancel(EventId id) { eng.cancel(id); }
-  std::size_t run() { return eng.run(); }
-};
-
 // ------------------------------------------------------- sweep scaling
 
 struct SweepOutcome {
@@ -240,22 +231,27 @@ struct SweepOutcome {
 /// Runs `points` independent engine workloads serially and on a thread
 /// pool; results must match exactly (determinism) while wall time drops.
 SweepOutcome bench_sweep(std::size_t points, std::uint64_t events_per_point) {
-  auto point = [events_per_point](std::size_t i) {
+  struct Point {
     polaris::des::Engine eng;
-    std::uint64_t remaining = events_per_point;
+    std::uint64_t remaining = 0;
     std::uint64_t acc = 0;
-    auto lcg = static_cast<std::uint32_t>(
-        polaris::des::sweep_seed(2002, i));
-    std::function<void()> tick = [&] {
-      if (remaining == 0) return;
-      --remaining;
-      acc += static_cast<std::uint64_t>(eng.now());
-      lcg = lcg * 1664525u + 1013904223u;
-      eng.schedule_after(1 + (lcg >> 22), [&] { tick(); });
-    };
-    eng.schedule_after(1, [&] { tick(); });
-    eng.run();
-    return acc;
+    std::uint32_t lcg = 0;
+    static void tick(void* p) {
+      auto* s = static_cast<Point*>(p);
+      if (s->remaining == 0) return;
+      --s->remaining;
+      s->acc += static_cast<std::uint64_t>(s->eng.now());
+      s->lcg = s->lcg * 1664525u + 1013904223u;
+      s->eng.schedule_raw_after(1 + (s->lcg >> 22), &tick, s);
+    }
+  };
+  auto point = [events_per_point](std::size_t i) {
+    Point pt;
+    pt.remaining = events_per_point;
+    pt.lcg = static_cast<std::uint32_t>(polaris::des::sweep_seed(2002, i));
+    pt.eng.schedule_raw_after(1, &Point::tick, &pt);
+    pt.eng.run();
+    return pt.acc;
   };
   SweepOutcome out;
   const std::size_t hw = polaris::des::SweepRunner::default_threads();
@@ -291,34 +287,26 @@ int main() {
   const std::uint64_t burst = 1024;
   const std::uint64_t bursts = std::max<std::uint64_t>(1, events / (2 * burst));
 
-  support::Table t("D1: DES core throughput (seed replica vs pooled engine)");
-  t.header({"workload", "seed (Mops/s)", "pooled (Mops/s)", "speedup"});
+  support::Table t("D1: DES core throughput (seed replica vs raw events)");
+  t.header({"workload", "seed (Mops/s)", "engine (Mops/s)", "speedup"});
 
-  const double fire_seed = bench_schedule_fire<SeedEngine>(events, depth);
-  const double fire_new = bench_schedule_fire<RealEngine>(events, depth);
+  const double fire_seed = bench_schedule_fire_seed(events, depth);
+  const double fire_raw = bench_schedule_fire_raw(events, depth);
   t.add("schedule+fire", support::Table::to_cell(fire_seed / 1e6),
-        support::Table::to_cell(fire_new / 1e6),
-        support::Table::to_cell(fire_new / fire_seed));
+        support::Table::to_cell(fire_raw / 1e6), std::string("-"));
 
   // Deep queue: the working depth a few-hundred-rank SimWorld sustains.
   // The seed's binary heap pays O(log n) cache-hostile sifts per event
   // here; the wheel stays O(1).
   const std::uint64_t deep = 256 * 1024;
-  const double deep_seed = bench_schedule_fire<SeedEngine>(events, deep);
-  const double deep_new = bench_schedule_fire<RealEngine>(events, deep);
-  t.add("schedule+fire deep", support::Table::to_cell(deep_seed / 1e6),
-        support::Table::to_cell(deep_new / 1e6),
-        support::Table::to_cell(deep_new / deep_seed));
-
-  const double fire_raw = bench_schedule_fire_raw(events, depth);
-  t.add("raw schedule+fire", std::string("-"),
-        support::Table::to_cell(fire_raw / 1e6), std::string("-"));
+  const double deep_seed = bench_schedule_fire_seed(events, deep);
   const double deep_raw = bench_schedule_fire_raw(events, deep);
-  t.add("raw schedule+fire deep", std::string("-"),
+  t.add("schedule+fire deep", support::Table::to_cell(deep_seed / 1e6),
         support::Table::to_cell(deep_raw / 1e6), std::string("-"));
 
   const double cancel_seed = bench_schedule_cancel<SeedEngine>(bursts, burst);
-  const double cancel_new = bench_schedule_cancel<RealEngine>(bursts, burst);
+  const double cancel_new =
+      bench_schedule_cancel<polaris::des::Engine>(bursts, burst);
   t.add("schedule+cancel", support::Table::to_cell(cancel_seed / 1e6),
         support::Table::to_cell(cancel_new / 1e6),
         support::Table::to_cell(cancel_new / cancel_seed));
@@ -334,22 +322,16 @@ int main() {
 
   bench::Report des_report(
       "bench_d1_des_core",
-      "DES engine schedule/fire/cancel throughput, seed replica vs pooled "
-      "timer-wheel + 4-ary-heap engine (boxed closures and raw events), "
-      "coroutine resume rate and queue bytes per pending event");
+      "DES engine schedule/fire/cancel throughput of the pooled timer-wheel "
+      "+ 4-ary-heap engine on raw events, seed-engine replica rows kept as "
+      "history, coroutine resume rate and queue bytes per pending event");
   des_report.note_host();
   des_report.note("budget_ms", std::to_string(budget_ms));
   des_report.note("queue_depth", std::to_string(depth));
   des_report.note("deep_queue_depth", std::to_string(deep));
   des_report.add("seed.schedule_fire.events_per_sec", fire_seed, "events/s");
-  des_report.add("pooled.schedule_fire.events_per_sec", fire_new,
-                 "events/s");
-  des_report.add("schedule_fire.speedup", fire_new / fire_seed, "x");
   des_report.add("seed.schedule_fire_deep.events_per_sec", deep_seed,
                  "events/s");
-  des_report.add("pooled.schedule_fire_deep.events_per_sec", deep_new,
-                 "events/s");
-  des_report.add("schedule_fire_deep.speedup", deep_new / deep_seed, "x");
   des_report.add("raw.schedule_fire.events_per_sec", fire_raw, "events/s");
   des_report.add("raw.schedule_fire_deep.events_per_sec", deep_raw,
                  "events/s");
@@ -384,10 +366,9 @@ int main() {
       "bench_d1_des_core",
       "SweepRunner wall-clock scaling over independent engine instances; "
       "parallel results must be identical to serial");
+  sweep_report.note_host();
   sweep_report.note("points", std::to_string(sweep_points));
   sweep_report.note("events_per_point", std::to_string(per_point));
-  sweep_report.note("hardware_concurrency",
-                    std::to_string(std::thread::hardware_concurrency()));
   sweep_report.add("sweep.serial.wall_s", sw.serial_s, "s");
   sweep_report.add("sweep.parallel.wall_s", sw.parallel_s, "s");
   sweep_report.add("sweep.parallel.threads",

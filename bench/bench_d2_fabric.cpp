@@ -124,6 +124,7 @@ int main() {
       "bench_d2_fabric",
       "Packet-level network data path: two-tier engine (analytic bypass + "
       "pooled walkers) vs the semaphore-reference model, same traffic");
+  report.note_host();
   report.note("budget_ms", std::to_string(budget_ms));
 
   // -- 1. uncontended ping-pong --------------------------------------------

@@ -119,12 +119,11 @@ double run_wildcard(Matcher& m, const std::vector<std::uint16_t>& order) {
 
 // --------------------------------------------------- steady-state counters
 
-/// Sum of every slab/pool capacity and SBO-miss counter on the simrt hot
-/// path: a zero delta across a phase means the phase allocated nothing.
+/// Sum of every slab/pool capacity on the simrt hot path: a zero delta
+/// across a phase means the phase allocated nothing.
 std::uint64_t allocation_odometer(simrt::SimWorld& world) {
   std::uint64_t total = world.inflight_pool_capacity();
-  const des::EngineStats es = world.engine().stats();
-  total += es.pool_capacity + es.sbo_misses;
+  total += world.engine().stats().pool_capacity;
   for (std::size_t r = 0; r < world.ranks(); ++r) {
     total += world.comm(r).matcher_pool_capacity();
     total += world.comm(r).request_pool_capacity();
@@ -145,6 +144,7 @@ int main() {
       "bench_d3_msg",
       "Messaging core: bucketed tag matching vs the linear reference, and "
       "the pooled allocation-free simrt in-flight path");
+  report.note_host();
   report.note("budget_ms", std::to_string(budget_ms));
 
   // The linear matcher clears roughly 1M ops/s at depth 512, so budget*500

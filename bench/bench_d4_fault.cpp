@@ -198,6 +198,7 @@ int main() {
                        "Fault injection through the fast data path: "
                        "detection latency, retry overhead, checkpoint "
                        "efficiency vs Daly");
+  report.note_host();
 
   // 1. Detection latency.
   const DetectionResult det = run_detection();

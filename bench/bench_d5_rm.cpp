@@ -191,6 +191,7 @@ int main() {
   bench::Report report("bench_d5_rm",
                        "resource manager: amortized decision cost, "
                        "topology-aware placement quality, crash-determinism");
+  report.note_host();
   report.note("budget_ms", std::to_string(budget_ms));
 
   // --- 1. decision cost ------------------------------------------------

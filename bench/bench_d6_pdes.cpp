@@ -133,6 +133,7 @@ int main() {
   bench::Report report("bench_d6_pdes",
                        "sharded parallel DES: strong scaling at 64k ranks "
                        "and a million-rank capacity run");
+  report.note_host();
   report.note("budget_ms", std::to_string(budget_ms));
   report.note("scale", full ? "full" : "mini");
 

@@ -27,7 +27,9 @@
 // idle/armed trial is bracketed by two untraced runs and compared against
 // the bracket mean (cancelling linear drift); the reported overhead is the
 // median over the brackets, which is robust to frequency shifts and
-// interference on a shared host.
+// interference on a shared host.  An A/A row runs the same estimator with an
+// untraced run on the "traced" side: it must read about 0, so its size is
+// the noise floor the idle and armed gates are read against on this host.
 //
 // A fourth section measures the raw record path and proves it allocates
 // nothing in steady state: this TU overrides global operator new with a
@@ -42,6 +44,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -153,8 +156,10 @@ void require_no_drops(const obs::Tracer& tracer, const char* workload) {
 struct Matrix {
   double wall[3] = {0.0, 0.0, 0.0};   ///< best-of walls, display only
   double ratio[3] = {1.0, 1.0, 1.0};  ///< median bracketed ratio vs untraced
+  double aa_ratio = 1.0;  ///< same estimator, untraced on both sides
   double idle_pct() const { return (ratio[kIdle] - 1.0) * 100.0; }
   double armed_pct() const { return (ratio[kArmed] - 1.0) * 100.0; }
+  double aa_pct() const { return (aa_ratio - 1.0) * 100.0; }
 
   void emit(support::Table& table, bench::Report& report,
             const std::string& row, const std::string& prefix,
@@ -163,24 +168,27 @@ struct Matrix {
               support::Table::to_cell(ops / wall[kIdle]),
               support::Table::to_cell(ops / wall[kArmed]),
               support::Table::to_cell(idle_pct()),
-              support::Table::to_cell(armed_pct()));
+              support::Table::to_cell(armed_pct()),
+              support::Table::to_cell(aa_pct()));
     report.add(prefix + ".untraced.ops_per_sec", ops / wall[kUntraced],
                "ops/s");
     report.add(prefix + ".idle.ops_per_sec", ops / wall[kIdle], "ops/s");
     report.add(prefix + ".armed.ops_per_sec", ops / wall[kArmed], "ops/s");
     report.add(prefix + ".idle.overhead_pct", idle_pct(), "%");
     report.add(prefix + ".armed.overhead_pct", armed_pct(), "%");
+    report.add(prefix + ".aa.overhead_pct", aa_pct(), "%");
   }
 };
 
 /// Runs `trials` traced trials (idle and armed alternating), each bracketed
-/// by untraced runs, over one shared workload instance.  `select(v)` flips
-/// the instance into variant v; `run()` executes one timed trial;
-/// `settle()` runs after every armed trial (ring drain, outside any timed
-/// region).
+/// by untraced runs, over one shared workload instance, plus one A/A trial
+/// (an untraced run in the traced slot) after every idle/armed pair.
+/// `select(v)` flips the instance into variant v; `run()` executes one
+/// timed trial; `settle()` runs after every armed trial (ring drain,
+/// outside any timed region).
 template <class Select, class Run, class Settle>
 Matrix measure(int trials, Select&& select, Run&& run, Settle&& settle) {
-  std::vector<double> walls[3], idle_ratio, armed_ratio;
+  std::vector<double> walls[3], idle_ratio, armed_ratio, aa_ratio;
   for (int v = 0; v < 3; ++v) {  // warmup each variant once
     select(static_cast<Variant>(v));
     (void)run();
@@ -189,8 +197,12 @@ Matrix measure(int trials, Select&& select, Run&& run, Settle&& settle) {
   select(kUntraced);
   double u_prev = run();
   walls[kUntraced].push_back(u_prev);
-  for (int t = 0; t < trials; ++t) {
-    const Variant v = (t % 2 == 0) ? kIdle : kArmed;
+  // Cycle idle, armed, A/A: the idle and armed trial counts match a plain
+  // idle/armed alternation over `trials`.
+  const int slots = trials + trials / 2;
+  for (int t = 0; t < slots; ++t) {
+    const int phase = t % 3;
+    const Variant v = phase == 0 ? kIdle : phase == 1 ? kArmed : kUntraced;
     select(v);
     const double x = run();
     walls[v].push_back(x);
@@ -202,7 +214,7 @@ Matrix measure(int trials, Select&& select, Run&& run, Settle&& settle) {
     }
     const double u_next = run();
     walls[kUntraced].push_back(u_next);
-    (v == kIdle ? idle_ratio : armed_ratio)
+    (v == kIdle ? idle_ratio : v == kArmed ? armed_ratio : aa_ratio)
         .push_back(x / (0.5 * (u_prev + u_next)));
     u_prev = u_next;
   }
@@ -210,6 +222,7 @@ Matrix measure(int trials, Select&& select, Run&& run, Settle&& settle) {
   for (int v = 0; v < 3; ++v) m.wall[v] = best_of(walls[v]);
   m.ratio[kIdle] = median(idle_ratio);
   m.ratio[kArmed] = median(armed_ratio);
+  m.aa_ratio = median(aa_ratio);
   return m;
 }
 
@@ -242,6 +255,7 @@ int main() {
       "bench_d7_obs",
       "Observability overhead: ring-buffer tracing and sharded metrics vs "
       "untraced hot loops (compute, fabric, eager message stream)");
+  report.note_host();
   report.note("budget_ms", std::to_string(budget_ms));
   report.note("trials", std::to_string(trials));
   report.note("sample_every", std::to_string(kSampleEvery));
@@ -254,7 +268,7 @@ int main() {
       "(ops/s best-of, overheads median of " + std::to_string(trials / 2) +
       " untraced-bracketed trials)");
   table.header({"workload", "untraced (ops/s)", "idle (ops/s)",
-                "armed (ops/s)", "idle ovh %", "armed ovh %"});
+                "armed (ops/s)", "idle ovh %", "armed ovh %", "A/A ovh %"});
 
   // -- 1. compute loop -------------------------------------------------------
   const std::uint64_t comp_rounds = scaled(15'000);
@@ -464,6 +478,12 @@ int main() {
       std::max({compute.armed_pct(), fabric_m.armed_pct(), halo.armed_pct()});
   report.add("idle.max_overhead_pct", idle_max, "%");
   report.add("armed.max_overhead_pct", armed_max, "%");
+  // The estimator's noise floor over the same gated workloads: an idle or
+  // armed reading within it cannot be told from host noise.
+  const double aa_max = std::max({std::abs(compute.aa_pct()),
+                                  std::abs(fabric_m.aa_pct()),
+                                  std::abs(halo.aa_pct())});
+  report.add("aa.max_abs_overhead_pct", aa_max, "%");
 
   // -- 4. record-path throughput + steady-state allocations ------------------
   //

@@ -239,6 +239,7 @@ int main() {
   bench::Report report("bench_f11_serving",
                        "serving tier: throughput vs p99 per LB policy, "
                        "routing mode, topology; shard-failure tail");
+  report.note_host();
   report.note("budget_ms", std::to_string(budget_ms));
   report.note("duration_s", std::to_string(duration_s));
 

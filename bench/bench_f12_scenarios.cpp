@@ -21,6 +21,7 @@ int main() {
 
   bench::Report report("bench_f12_scenarios",
                        "chaos-scenario regression campaign verdicts");
+  report.note_host();
 
   std::printf("F12: chaos-scenario campaigns\n");
   std::printf("%-28s %-8s %7s %9s %7s  %s\n", "scenario", "verdict", "ticks",

@@ -103,6 +103,7 @@ int main() {
   bench::Report report("bench_f7_scheduler",
                        "scheduler policy comparison on rm: 10k-job grid "
                        "and load sweep");
+  report.note_host();
 
   support::Table main_t("F7a: 10k-job trace by machine size and policy");
   main_t.header({"nodes", "policy", "load", "utilization", "mean wait",

@@ -127,25 +127,7 @@ void Engine::release_node(std::uint32_t slot) {
   free_.push_back(slot);
 }
 
-void Engine::run_box(void*) {
-  POLARIS_CHECK_MSG(false, "boxed events are unboxed by the engine");
-}
-
-Engine::Callback Engine::take_box(void* index) {
-  const auto b =
-      static_cast<std::uint32_t>(reinterpret_cast<std::uintptr_t>(index));
-  Callback cb = std::move(boxes_[b]);
-  free_boxes_.push_back(b);
-  return cb;
-}
-
 void Engine::reap(std::uint32_t slot) {
-  const EventNode& n = pool_[slot];
-  // Drop captured state (coroutine tasks, owners) now.  The callable dies
-  // as a local, after the box vector is consistent again, because its
-  // destructor may schedule.
-  Callback dead;
-  if (n.fn == &run_box) dead = take_box(n.ctx);
   release_node(slot);
   ++stats_.cancelled_skipped;
 }
@@ -159,23 +141,6 @@ void Engine::reap_cancelled_top() {
 }
 
 // ----------------------------------------------------------- scheduling
-
-EventId Engine::schedule_at(SimTime t, Callback&& cb) {
-  // Checked before boxing, so a rejected callable takes no box.
-  POLARIS_CHECK_MSG(t >= now_, "cannot schedule into the simulated past");
-  std::uint32_t b;
-  if (!free_boxes_.empty()) {
-    b = free_boxes_.back();
-    free_boxes_.pop_back();
-    boxes_[b] = std::move(cb);
-  } else {
-    b = static_cast<std::uint32_t>(boxes_.size());
-    boxes_.push_back(std::move(cb));
-  }
-  if (boxes_[b].heap_allocated()) ++stats_.sbo_misses;
-  return schedule_raw_at(
-      t, &run_box, reinterpret_cast<void*>(static_cast<std::uintptr_t>(b)));
-}
 
 EventId Engine::schedule_raw_at(SimTime t, RawCallback fn, void* ctx) {
   POLARIS_CHECK_MSG(t >= now_, "cannot schedule into the simulated past");
@@ -263,11 +228,7 @@ bool Engine::step_bounded(SimTime until) {
   void* const ctx = n.ctx;
   release_node(slot);
   ++executed_;
-  if (fn == &run_box) {
-    take_box(ctx)();
-  } else {
-    fn(ctx);
-  }
+  fn(ctx);
   return true;
 }
 
@@ -316,16 +277,21 @@ void Engine::maybe_rethrow() {
 namespace {
 
 /// Root coroutine that drives a detached Task and reports its outcome to
-/// the engine.  The frame self-destroys on completion (final_suspend never
-/// suspends), which is safe because nothing awaits a DetachedProcess.
+/// the engine.  It starts suspended, so spawn() can hand its handle to the
+/// engine as one raw event; the frame self-destroys on completion
+/// (final_suspend never suspends), which is safe because nothing awaits a
+/// DetachedProcess.
 struct DetachedProcess {
   struct promise_type {
-    DetachedProcess get_return_object() { return {}; }
-    std::suspend_never initial_suspend() noexcept { return {}; }
+    DetachedProcess get_return_object() {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() {}
     void unhandled_exception() { std::terminate(); }  // drive() catches all
   };
+  std::coroutine_handle<promise_type> handle;
 };
 
 DetachedProcess drive(Engine& engine, Task<void> task) {
@@ -343,9 +309,26 @@ DetachedProcess drive(Engine& engine, Task<void> task) {
 void Engine::spawn(Task<void> task) {
   // Start the root on a zero-delay event so spawn() itself never reenters
   // user code; all execution happens inside run().
-  schedule_after(0, [this, t = std::move(task)]() mutable {
-    drive(*this, std::move(t));
-  });
+  schedule_raw_at(now_, &start_root,
+                  drive(*this, std::move(task)).handle.address());
+}
+
+Engine::~Engine() {
+  // A root whose start event is still queued never ran: destroying its
+  // frame destroys the Task it holds.  Start events are scheduled at now(),
+  // so they sit in the wheel, never in the heap.  Collect first, because a
+  // dying task's destructors may touch the queue.
+  std::vector<void*> roots;
+  if (wheel_count_ != 0) {
+    for (const Bucket& bk : buckets_) {
+      for (std::uint32_t s = bk.head; s != kNilSlot; s = pool_[s].next) {
+        if (pool_[s].fn == &start_root) roots.push_back(pool_[s].ctx);
+      }
+    }
+  }
+  for (void* root : roots) {
+    std::coroutine_handle<>::from_address(root).destroy();
+  }
 }
 
 }  // namespace polaris::des

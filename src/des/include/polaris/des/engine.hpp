@@ -18,13 +18,12 @@
 //
 // Event nodes live in a slab pool with a free list, and every node is the
 // same 40 bytes: the (time, sequence) key, a raw `fn(ctx)` callback, the
-// wheel-bucket link and a generation counter.  Nearly every event already
-// is a raw pair — the fabric walkers and flights, the simrt wire leg, serve,
-// rm and pdes — or a coroutine resume, which schedule_resume_after turns
-// into one shared raw callback on the handle's address.  General callables
-// (spawn, fault injection, tests) are boxed in a slab of UniqueFunctions
-// beside the queue; their node carries the box index, and the box is freed
-// when the event fires or its tombstone is reaped.
+// wheel-bucket link and a generation counter.  The raw pair is the engine's
+// one event kind.  The fabric walkers and flights, the simrt wire leg,
+// serve, rm, pdes and fault injection schedule their own callbacks on
+// state they own; a coroutine resume is the shared resume callback on the
+// handle's address; and spawn() starts a root coroutine through a spawn
+// callback on the root's handle.
 //
 // Cancellation is O(1) and leak-free: an EventId carries the node's pool
 // slot plus a generation counter; cancel() sets the tombstone bit of the
@@ -47,7 +46,6 @@
 #include <vector>
 
 #include "polaris/des/time.hpp"
-#include "polaris/support/function.hpp"
 
 namespace polaris::des {
 
@@ -68,42 +66,34 @@ struct EngineStats {
   std::uint64_t executed = 0;           ///< events run to completion
   std::uint64_t cancelled_skipped = 0;  ///< tombstones reaped at pop
   std::size_t max_queue_depth = 0;      ///< event-queue high watermark
-  std::uint64_t sbo_misses = 0;   ///< boxed callables spilled to the heap
+  /// Always 0: no event is boxed.  Kept only because the end-to-end
+  /// benchmark still reads it.
+  std::uint64_t sbo_misses = 0;
   std::size_t pool_capacity = 0;  ///< event nodes ever allocated
   std::size_t pool_in_use = 0;    ///< nodes currently holding queued events
   std::size_t max_pool_in_use = 0;  ///< pool-occupancy high watermark
-  std::size_t box_capacity = 0;     ///< callable boxes ever allocated
 };
 
 class Engine {
  public:
-  using Callback = support::UniqueFunction<void()>;
-
-  /// Raw callback form, the engine's native event: a plain function
-  /// pointer plus a context pointer, stored directly in the event node.
-  /// Scheduling one never touches the allocator.
+  /// The engine's one event kind: a plain function pointer plus a context
+  /// pointer, stored directly in the event node.  Scheduling one never
+  /// touches the allocator.
   using RawCallback = void (*)(void*);
 
   Engine();
+  /// Destroys every spawned root whose start event is still queued (after
+  /// stop() or a rethrown process error), and with it the task it holds.
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).  The callable
-  /// is moved into a pooled box beside the queue; prefer schedule_raw_* or
-  /// schedule_resume_after on hot paths.
-  EventId schedule_at(SimTime t, Callback&& cb);
-
-  /// Schedules `cb` at now() + dt (dt >= 0).
-  EventId schedule_after(SimTime dt, Callback&& cb) {
-    return schedule_at(now_ + dt, std::move(cb));
-  }
-
-  /// Schedules `fn(ctx)` at absolute time `t`.  Same ordering guarantees
-  /// as schedule_at; `ctx` must stay valid until the event fires or is
-  /// cancelled.
+  /// Schedules `fn(ctx)` at absolute time `t` (must be >= now()).  Events
+  /// fire in (time, schedule order); `ctx` must stay valid until the event
+  /// fires or is cancelled.
   EventId schedule_raw_at(SimTime t, RawCallback fn, void* ctx);
 
   /// Schedules `fn(ctx)` at now() + dt.
@@ -138,7 +128,8 @@ class Engine {
   /// Requests run() to return after the current event completes.
   void stop() { stopped_ = true; }
 
-  /// Starts a detached coroutine process (defined in task.hpp).
+  /// Starts `task` as a detached process.  Its root coroutine starts on a
+  /// raw event at now(), so spawn() itself never runs user code.
   void spawn(Task<void> task);
 
   /// Number of spawned processes that have not yet completed.
@@ -153,7 +144,6 @@ class Engine {
     s.executed = executed_;
     s.pool_capacity = pool_.size();
     s.pool_in_use = pool_.size() - free_.size();
-    s.box_capacity = boxes_.size();
     return s;
   }
 
@@ -198,8 +188,7 @@ class Engine {
 
   /// Pooled event state.  The (t, seq) key is duplicated into the heap
   /// entry so sift compares never chase the pool pointer; `next` chains
-  /// wheel-bucket FIFOs; `gen` carries the tombstone bit.  A boxed
-  /// callable is `fn == &run_box` with the box index in `ctx`.
+  /// wheel-bucket FIFOs; `gen` carries the tombstone bit.
   struct EventNode {
     SimTime t = 0;
     std::uint64_t seq = 0;
@@ -239,8 +228,9 @@ class Engine {
   static void resume_handle(void* address) {
     std::coroutine_handle<>::from_address(address).resume();
   }
-  /// Marker callback of boxed events; never invoked (step() unboxes).
-  static void run_box(void* box);
+  /// Starts a spawned root.  Its own callback (not resume_handle) marks
+  /// the roots ~Engine must destroy if they never start.
+  static void start_root(void* address) { resume_handle(address); }
 
   static bool tombstoned(const EventNode& n) {
     return (n.gen & kTombstone) != 0;
@@ -248,11 +238,8 @@ class Engine {
 
   std::uint32_t acquire_node();
   void release_node(std::uint32_t slot);
-  /// Returns a tombstoned node to the pool, destroying its box, if any.
-  void reap(std::uint32_t slot);
+  void reap(std::uint32_t slot);  ///< Returns a tombstoned node to the pool.
   void reap_cancelled_top();  ///< Reaps tombstones sitting at the heap top.
-  /// Moves the callable out of box `index` and frees the box.
-  Callback take_box(void* index);
 
   void set_bucket_bit(std::size_t b);
   void clear_bucket_bit(std::size_t b);
@@ -268,8 +255,6 @@ class Engine {
   std::vector<HeapEntry> heap_;  ///< 4-ary implicit min-heap on (t, seq)
   std::vector<EventNode> pool_;
   std::vector<std::uint32_t> free_;  ///< pool slots ready for reuse
-  std::vector<Callback> boxes_;      ///< boxed general callables
-  std::vector<std::uint32_t> free_boxes_;  ///< box slots ready for reuse
   std::vector<Bucket> buckets_;      ///< kWheelSpan one-tick FIFOs
   std::uint64_t bitmap_[kWheelWords] = {};   ///< bit per occupied bucket
   std::uint64_t summary_[kSummaryWords] = {};  ///< bit per nonzero word

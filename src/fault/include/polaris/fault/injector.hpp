@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "polaris/des/engine.hpp"
@@ -52,6 +53,9 @@ class FaultListener {
 class Injector {
  public:
   Injector(des::Engine& engine, fabric::SimNetwork& network);
+  /// Queued fault and repair events hold the injector's address.
+  Injector(const Injector&) = delete;
+  Injector& operator=(const Injector&) = delete;
 
   /// Schedules a node crash at sim time `at` (seconds).  `repair_after` > 0
   /// brings the node back up that many seconds later; <= 0 is permanent.
@@ -94,6 +98,9 @@ class Injector {
   /// Sim time of the node's most recent crash (-1 if it never crashed).
   double downed_at(std::uint32_t node) const;
   const std::vector<FaultEvent>& history() const { return history_; }
+  /// Scheduled-event records ever allocated; records recycle when their
+  /// event fires, so this is the high watermark of pending faults+repairs.
+  std::size_t record_capacity() const { return records_.size(); }
 
   /// Computes for `seconds`, returning true iff no fault (node crash or
   /// link outage) fired anywhere in the machine meanwhile.
@@ -128,7 +135,22 @@ class Injector {
     std::uint32_t gen = 0;
   };
 
+  /// One scheduled fault or repair: the ctx of its raw engine event.  A
+  /// fault carries its repair delay, a repair the plan generation it was
+  /// scheduled under.
+  struct Record {
+    Injector* injector = nullptr;
+    FaultEvent ev;
+    double repair_after = 0.0;
+    std::uint32_t gen = 0;
+  };
+
   static void work_timer_cb(void* ctx);
+  /// Raw event callback of every fault and repair; frees the record, then
+  /// applies it.
+  static void fire(void* ctx);
+
+  void schedule(const FaultEvent& ev, double repair_after, std::uint32_t gen);
 
   void apply(FaultEvent ev, double repair_after);
   void apply_repair(FaultEvent ev, std::uint32_t gen);
@@ -157,6 +179,8 @@ class Injector {
   std::vector<RepairPlan> node_repair_;   ///< per node, valid while down
   std::vector<RepairPlan> link_repair_;   ///< per link, valid while down
   std::vector<FaultEvent> history_;
+  std::deque<Record> records_;  ///< stable addresses for queued events
+  std::vector<Record*> free_records_;
 
   std::vector<des::OneShotEvent*> fault_waiters_;  ///< work_for parks here
   std::vector<des::OneShotEvent*> up_waiters_;

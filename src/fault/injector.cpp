@@ -20,19 +20,41 @@ Injector::Injector(des::Engine& engine, fabric::SimNetwork& network)
 void Injector::schedule_node_crash(double at, std::uint32_t node,
                                    double repair_after) {
   POLARIS_CHECK(node < network_->topology().node_count());
-  FaultEvent ev{FaultEvent::Kind::kNodeCrash, at, node};
-  engine_->schedule_at(des::from_seconds(at), [this, ev, repair_after] {
-    apply(ev, repair_after);
-  });
+  schedule(FaultEvent{FaultEvent::Kind::kNodeCrash, at, node}, repair_after,
+           0);
 }
 
 void Injector::schedule_link_outage(double at, fabric::LinkId link,
                                     double repair_after) {
   POLARIS_CHECK(link < network_->topology().link_count());
-  FaultEvent ev{FaultEvent::Kind::kLinkDown, at, link};
-  engine_->schedule_at(des::from_seconds(at), [this, ev, repair_after] {
-    apply(ev, repair_after);
-  });
+  schedule(FaultEvent{FaultEvent::Kind::kLinkDown, at, link}, repair_after,
+           0);
+}
+
+void Injector::schedule(const FaultEvent& ev, double repair_after,
+                        std::uint32_t gen) {
+  Record* r;
+  if (free_records_.empty()) {
+    r = &records_.emplace_back();
+  } else {
+    r = free_records_.back();
+    free_records_.pop_back();
+  }
+  *r = Record{this, ev, repair_after, gen};
+  engine_->schedule_raw_at(des::from_seconds(ev.time), &fire, r);
+}
+
+void Injector::fire(void* ctx) {
+  auto* r = static_cast<Record*>(ctx);
+  const Record rec = *r;
+  // Free first: applying a fault may schedule its repair into this record.
+  rec.injector->free_records_.push_back(r);
+  if (rec.ev.kind == FaultEvent::Kind::kNodeRepair ||
+      rec.ev.kind == FaultEvent::Kind::kLinkUp) {
+    rec.injector->apply_repair(rec.ev, rec.gen);
+  } else {
+    rec.injector->apply(rec.ev, rec.repair_after);
+  }
 }
 
 std::size_t Injector::load_node_timeline(FailureTimeline& timeline,
@@ -95,10 +117,7 @@ bool Injector::extend_repair(RepairPlan& plan, FaultEvent::Kind repair_kind,
 void Injector::schedule_repair(const RepairPlan& plan,
                                FaultEvent::Kind repair_kind,
                                std::uint32_t id) {
-  const FaultEvent up{repair_kind, plan.at, id};
-  const std::uint32_t gen = plan.gen;
-  engine_->schedule_at(des::from_seconds(plan.at),
-                       [this, up, gen] { apply_repair(up, gen); });
+  schedule(FaultEvent{repair_kind, plan.at, id}, 0.0, plan.gen);
 }
 
 void Injector::apply(FaultEvent ev, double repair_after) {

@@ -9,18 +9,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
-
-#include "polaris/support/function.hpp"
 
 namespace polaris::msg {
 
 using AmHandlerId = std::uint32_t;
 
 /// Handler invoked at the destination: (source rank, payload bytes).
-using AmHandler =
-    support::UniqueFunction<void(int src, std::span<const std::byte>)>;
+/// Registered once per endpoint and off every hot path, so a plain
+/// std::function serves.
+using AmHandler = std::function<void(int src, std::span<const std::byte>)>;
 
 /// Per-endpoint table of active-message handlers.  Handler ids are dense
 /// and must be registered identically on every endpoint (SPMD convention,

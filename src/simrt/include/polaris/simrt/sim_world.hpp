@@ -50,7 +50,6 @@
 #include "polaris/obs/metrics.hpp"
 #include "polaris/obs/trace.hpp"
 #include "polaris/support/flat_map.hpp"
-#include "polaris/support/function.hpp"
 
 namespace polaris::fault {
 class Injector;
@@ -284,8 +283,7 @@ class SimComm {
   /// Active messages (timing-level): the handler runs at the destination
   /// when the payload lands, with no posted receive.  Handlers must be
   /// registered before launch on every rank (SPMD convention).
-  using AmHandler = support::UniqueFunction<void(int src,
-                                                 std::uint64_t bytes)>;
+  using AmHandler = std::function<void(int src, std::uint64_t bytes)>;
   std::uint32_t register_am(AmHandler handler);
   des::Task<SimStatus> am_send(int dst, std::uint32_t handler,
                                std::uint64_t bytes);

@@ -1009,8 +1009,6 @@ double SimWorld::run() {
         static_cast<double>(es.pool_in_use));
     metrics_->gauge("des.max_pool_in_use").set(
         static_cast<double>(es.max_pool_in_use));
-    metrics_->gauge("des.sbo_misses").set(
-        static_cast<double>(es.sbo_misses));
     metrics_->gauge("des.tombstones_reaped").set(
         static_cast<double>(es.cancelled_skipped));
     const fabric::NetworkStats& ns = network_->stats();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "polaris/support/rng.hpp"
+#include "testing/closures.hpp"
 
 namespace polaris::des {
 namespace {
@@ -25,11 +26,12 @@ TEST(EngineDeterminism, SameTimeEventsFireInScheduleOrderAfterHeapChurn) {
   // heap actually reorders internally; the same-time batch must still fire
   // in schedule order (seq tie-break).
   Engine e;
+  testkit::Closures cl(e);
   std::vector<int> order;
   for (int i = 0; i < 64; ++i) {
-    e.schedule_at(1000, [&order, i] { order.push_back(i); });
-    e.schedule_at(2000 - i, [] {});  // filler above the batch
-    e.schedule_at(i, [] {});         // filler below the batch
+    cl.at(1000, [&order, i] { order.push_back(i); });
+    cl.at(2000 - i, [] {});  // filler above the batch
+    cl.at(i, [] {});         // filler below the batch
   }
   e.run();
   ASSERT_EQ(order.size(), 64u);
@@ -41,6 +43,7 @@ TEST(EngineDeterminism, MatchesReferenceModelUnderRandomScheduleAndCancel) {
   // (t, seq) order.  Random workload with cancellation mixed in.
   support::Random rng(0xDE5C0DE);
   Engine e;
+  testkit::Closures cl(e);
   struct Ref {
     SimTime t;
     int label;
@@ -53,7 +56,7 @@ TEST(EngineDeterminism, MatchesReferenceModelUnderRandomScheduleAndCancel) {
     const auto t = static_cast<SimTime>(rng.uniform_int(0, 500));
     const int label = next_label++;
     const EventId id =
-        e.schedule_at(t, [&fired, label] { fired.push_back(label); });
+        cl.at(t, [&fired, label] { fired.push_back(label); });
     if (rng.bernoulli(0.3)) {
       cancellable.push_back(id);
       ref.push_back({t, -1});  // placeholder, cancelled below
@@ -78,6 +81,7 @@ TEST(EngineDeterminism, IdenticalSeedGivesIdenticalRunTwice) {
   auto run_once = [](std::uint64_t seed) {
     support::Random rng(seed);
     Engine e;
+    testkit::Closures cl(e);
     std::vector<int> order;
     // Self-rescheduling processes: each event may schedule 0-2 more, with
     // times drawn from the per-run stream.
@@ -88,12 +92,11 @@ TEST(EngineDeterminism, IdenticalSeedGivesIdenticalRunTwice) {
       const int kids = static_cast<int>(rng.uniform_int(0, 2));
       for (int k = 0; k < kids && budget > 0; ++k, --budget) {
         const auto dt = static_cast<SimTime>(rng.uniform_int(0, 10));
-        e.schedule_after(dt, [&] { tick(); });
+        cl.after(dt, [&] { tick(); });
       }
     };
     for (int i = 0; i < 50; ++i) {
-      e.schedule_at(static_cast<SimTime>(rng.uniform_int(0, 100)),
-                    [&] { tick(); });
+      cl.at(static_cast<SimTime>(rng.uniform_int(0, 100)), [&] { tick(); });
     }
     e.run();
     return std::pair{order.size(), e.now()};

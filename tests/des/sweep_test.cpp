@@ -11,6 +11,7 @@
 
 #include "polaris/des/engine.hpp"
 #include "polaris/support/rng.hpp"
+#include "testing/closures.hpp"
 
 namespace polaris::des {
 namespace {
@@ -30,11 +31,12 @@ TEST(SweepRunner, ParallelMatchesSerialExactly) {
   // depend on thread count.
   auto point = [](std::size_t i) {
     Engine e;
+    testkit::Closures cl(e);
     std::uint64_t acc = 0;
     support::Random rng(sweep_seed(123, i));
     for (int k = 0; k < 200; ++k) {
-      e.schedule_after(static_cast<SimTime>(rng.uniform_int(1, 50)),
-                       [&acc, &e] { acc += static_cast<std::uint64_t>(e.now()); });
+      cl.after(static_cast<SimTime>(rng.uniform_int(1, 50)),
+               [&acc, &e] { acc += static_cast<std::uint64_t>(e.now()); });
       e.run();
     }
     return acc;

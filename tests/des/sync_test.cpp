@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "polaris/des/task.hpp"
+#include "testing/closures.hpp"
 
 namespace polaris::des {
 namespace {
@@ -46,10 +47,11 @@ TEST(Trigger, AwaitAfterFireCompletesImmediately) {
 
 TEST(Trigger, FireIsIdempotent) {
   Engine e;
+  testkit::Closures cl(e);
   Trigger t(e);
   std::vector<SimTime> log;
   e.spawn(wait_trigger(t, e, log));
-  e.schedule_at(10, [&] {
+  cl.at(10, [&] {
     t.fire();
     t.fire();
   });
@@ -96,6 +98,7 @@ TEST(Mailbox, BufferedValuesConsumedWithoutBlocking) {
 
 TEST(Mailbox, MultipleConsumersServedInArrivalOrder) {
   Engine e;
+  testkit::Closures cl(e);
   Mailbox<std::string> mb(e);
   std::vector<std::string> got;
   auto consumer = [&](int id) -> Task<void> {
@@ -104,8 +107,8 @@ TEST(Mailbox, MultipleConsumersServedInArrivalOrder) {
   };
   e.spawn(consumer(1));
   e.spawn(consumer(2));
-  e.schedule_at(10, [&] { mb.push("a"); });
-  e.schedule_at(20, [&] { mb.push("b"); });
+  cl.at(10, [&] { mb.push("a"); });
+  cl.at(20, [&] { mb.push("b"); });
   e.run();
   EXPECT_EQ(got, (std::vector<std::string>{"1:a", "2:b"}));
 }

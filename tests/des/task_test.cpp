@@ -1,4 +1,5 @@
 #include "polaris/des/task.hpp"
+#include "testing/closures.hpp"
 
 #include <gtest/gtest.h>
 
@@ -145,10 +146,11 @@ TEST(Task, TaskCompletingWithoutSuspensionStillDeliversValue) {
 
 TEST(Task, LiveProcessCountTracksSpawnedWork) {
   Engine e;
+  testkit::Closures cl(e);
   auto proc = [](Engine& eng) -> Task<void> { co_await delay(eng, 10); };
   e.spawn(proc(e));
   e.spawn(proc(e));
-  e.schedule_at(5, [&] { EXPECT_EQ(e.live_processes(), 2u); });
+  cl.at(5, [&] { EXPECT_EQ(e.live_processes(), 2u); });
   e.run();
   EXPECT_EQ(e.live_processes(), 0u);
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "polaris/des/task.hpp"
+#include "testing/closures.hpp"
 
 namespace polaris::fabric {
 namespace {
@@ -246,13 +247,13 @@ TEST_F(NetworkTest, TransferOverDownLinkRefusedAtInject) {
 }
 
 TEST_F(NetworkTest, NodeDeathMidFlightKillsBypassTier) {
+  testkit::Closures cl(engine_);
   SimNetwork net(engine_, fabrics::myrinet2000(), topo_);
   net.enable_faults();
   const std::uint64_t bytes = 16 * 1024 * 1024;
   const double full = net.uncongested_seconds(0, 1, bytes);
   const double kill_at = full / 2;
-  engine_.schedule_at(des::from_seconds(kill_at),
-                      [&net] { net.set_node_up(1, false); });
+  cl.at(des::from_seconds(kill_at), [&net] { net.set_node_up(1, false); });
   const XferResult r = status_transfer(net, 0, 1, bytes);
   EXPECT_EQ(r.status, XferStatus::kNodeDown);
   // The in-flight message dies when the node does, not at its would-be
@@ -262,19 +263,20 @@ TEST_F(NetworkTest, NodeDeathMidFlightKillsBypassTier) {
 }
 
 TEST_F(NetworkTest, LinkDeathMidFlightKillsBypassTier) {
+  testkit::Closures cl(engine_);
   SimNetwork net(engine_, fabrics::myrinet2000(), topo_);
   net.enable_faults();
   const std::uint64_t bytes = 16 * 1024 * 1024;
   const double full = net.uncongested_seconds(0, 1, bytes);
   const LinkId l = topo_.route(0, 1).back();
-  engine_.schedule_at(des::from_seconds(full / 2),
-                      [&net, l] { net.set_link_up(l, false); });
+  cl.at(des::from_seconds(full / 2), [&net, l] { net.set_link_up(l, false); });
   const XferResult r = status_transfer(net, 0, 1, bytes);
   EXPECT_EQ(r.status, XferStatus::kLinkDown);
   EXPECT_NEAR(r.seconds, full / 2, 1e-9);
 }
 
 TEST_F(NetworkTest, NodeDeathKillsContendedWalkers) {
+  testkit::Closures cl(engine_);
   SimNetwork net(engine_, fabrics::myrinet2000(), topo_);
   net.enable_faults();
   // Two senders to one destination: contention demotes the messages to
@@ -289,8 +291,7 @@ TEST_F(NetworkTest, NodeDeathKillsContendedWalkers) {
       out = co_await n.transfer(s, 2, 16 * 1024 * 1024);
     }(net, static_cast<NodeId>(i), st[i]));
   }
-  engine_.schedule_at(des::from_seconds(full / 2),
-                      [&net] { net.set_node_up(2, false); });
+  cl.at(des::from_seconds(full / 2), [&net] { net.set_node_up(2, false); });
   engine_.run();
   EXPECT_EQ(st[0], XferStatus::kNodeDown);
   EXPECT_EQ(st[1], XferStatus::kNodeDown);

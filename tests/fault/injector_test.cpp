@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include "polaris/fault/heartbeat.hpp"
 #include "polaris/fault/failure.hpp"
+#include "polaris/support/rng.hpp"
 
 namespace polaris::fault {
 namespace {
@@ -156,6 +161,158 @@ TEST_F(InjectorTest, CollisionHeavyTimelineKeepsBookkeepingConsistent) {
   }
   EXPECT_FALSE(down[0]);
   EXPECT_FALSE(down[1]);
+}
+
+// Property: for random crash/outage schedules — overlapping windows,
+// permanent (repair_after <= 0) and timed faults, node and link targets —
+// each target is down exactly over the union of its fault windows
+// [at, at + repair_after), an infinite window for a permanent fault.  A
+// fault landing on the instant its target would come back merges into the
+// pending window (faults scheduled up front precede repairs at one tick),
+// so windows that touch join.  The brute-force model builds that union per
+// target and is checked against node_up/link_up after every event time and
+// against history().
+struct Window {
+  double start;
+  double end;  ///< +inf for a permanent fault
+};
+
+/// Maximal down intervals of one target: the union of its fault windows,
+/// touching windows joined.
+std::vector<Window> down_intervals(std::vector<Window> w) {
+  std::sort(w.begin(), w.end(),
+            [](const Window& a, const Window& b) { return a.start < b.start; });
+  std::vector<Window> out;
+  for (const Window& x : w) {
+    if (!out.empty() && x.start <= out.back().end) {
+      out.back().end = std::max(out.back().end, x.end);
+    } else {
+      out.push_back(x);
+    }
+  }
+  return out;
+}
+
+bool down_at(const std::vector<Window>& intervals, double t) {
+  for (const Window& x : intervals) {
+    if (x.start <= t && t < x.end) return true;
+  }
+  return false;
+}
+
+TEST(InjectorProperty, RandomSchedulesMatchABruteForceTimeline) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Dyadic times (multiples of 1/64 s) are exact in doubles and in ticks,
+  // so window ends computed by the injector and the model agree bit for bit.
+  constexpr double kStep = 1.0 / 64.0;
+  constexpr std::uint32_t kTargets = 4;  // few targets: overlaps are common
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    support::Random rng(seed);
+    des::Engine engine;
+    fabric::Crossbar topo{8};
+    fabric::SimNetwork net(engine, fabric::fabrics::myrinet2000(), topo);
+    Injector inj(engine, net);
+    std::vector<std::vector<Window>> node_w(kTargets), link_w(kTargets);
+    std::vector<double> times;
+    const int faults = static_cast<int>(rng.uniform_int(5, 40));
+    for (int f = 0; f < faults; ++f) {
+      const double at = static_cast<double>(rng.uniform_int(0, 640)) * kStep;
+      double repair = static_cast<double>(rng.uniform_int(1, 320)) * kStep;
+      const std::int64_t shape = rng.uniform_int(0, 9);
+      if (shape == 0) repair = 0.0;   // permanent
+      if (shape == 1) repair = -1.0;  // permanent, negative form
+      const auto id =
+          static_cast<std::uint32_t>(rng.uniform_int(0, kTargets - 1));
+      const Window w{at, repair > 0.0 ? at + repair : kInf};
+      if (rng.bernoulli(0.5)) {
+        inj.schedule_node_crash(at, id, repair);
+        node_w[id].push_back(w);
+      } else {
+        inj.schedule_link_outage(at, id, repair);
+        link_w[id].push_back(w);
+      }
+      times.push_back(at);
+      if (w.end < kInf) times.push_back(w.end);
+    }
+
+    std::vector<std::vector<Window>> node_i(kTargets), link_i(kTargets);
+    // Model history: (time, kind, id) per interval edge.
+    using Edge = std::tuple<double, int, std::uint32_t>;
+    std::vector<Edge> want;
+    const auto add_edges = [&want](const std::vector<Window>& intervals,
+                                   FaultEvent::Kind down, FaultEvent::Kind up,
+                                   std::uint32_t id) {
+      for (const Window& x : intervals) {
+        want.emplace_back(x.start, static_cast<int>(down), id);
+        if (x.end < kInf) want.emplace_back(x.end, static_cast<int>(up), id);
+      }
+    };
+    std::size_t crashes = 0, outages = 0;
+    for (std::uint32_t id = 0; id < kTargets; ++id) {
+      node_i[id] = down_intervals(node_w[id]);
+      link_i[id] = down_intervals(link_w[id]);
+      crashes += node_i[id].size();
+      outages += link_i[id].size();
+      add_edges(node_i[id], FaultEvent::Kind::kNodeCrash,
+                FaultEvent::Kind::kNodeRepair, id);
+      add_edges(link_i[id], FaultEvent::Kind::kLinkDown,
+                FaultEvent::Kind::kLinkUp, id);
+    }
+
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    for (const double t : times) {
+      engine.run_until(des::from_seconds(t));
+      std::uint32_t nodes_down = 0;
+      for (std::uint32_t id = 0; id < kTargets; ++id) {
+        const bool node_down = down_at(node_i[id], t);
+        nodes_down += node_down ? 1 : 0;
+        EXPECT_EQ(inj.node_up(id), !node_down) << "node " << id << " t=" << t;
+        EXPECT_EQ(net.link_up(id), !down_at(link_i[id], t))
+            << "link " << id << " t=" << t;
+      }
+      EXPECT_EQ(inj.nodes_down(), nodes_down) << "t=" << t;
+    }
+    engine.run();
+    EXPECT_TRUE(engine.empty());
+
+    EXPECT_EQ(inj.crashes(), crashes);
+    EXPECT_EQ(inj.link_outages(), outages);
+    EXPECT_EQ(inj.crashes() + inj.link_outages() + inj.overlapped_faults(),
+              static_cast<std::uint64_t>(faults));
+    // Same-tick events on different targets may interleave either way, so
+    // history is compared as a time-ordered multiset.
+    std::vector<Edge> got;
+    double prev = 0.0;
+    for (const FaultEvent& ev : inj.history()) {
+      EXPECT_GE(ev.time, prev);
+      prev = ev.time;
+      got.emplace_back(ev.time, static_cast<int>(ev.kind), ev.id);
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
+}
+
+// Each fault and repair rides one pooled record that is freed when its
+// event fires, so the pool is bounded by the pending faults, not history.
+TEST_F(InjectorTest, RecordPoolStaysFlatOverManyCrashRepairCycles) {
+  Injector inj(engine_, net_);
+  constexpr int kCycles = 100'000;
+  for (int i = 0; i < kCycles; ++i) {
+    const double now = des::to_seconds(engine_.now());
+    inj.schedule_node_crash(now + 1.0, 3, /*repair_after=*/0.5);
+    inj.schedule_link_outage(now + 1.0, 0, /*repair_after=*/0.25);
+    engine_.run();
+  }
+  EXPECT_EQ(inj.crashes(), static_cast<std::uint64_t>(kCycles));
+  EXPECT_EQ(inj.link_outages(), static_cast<std::uint64_t>(kCycles));
+  EXPECT_TRUE(inj.all_nodes_up());
+  EXPECT_TRUE(net_.link_up(0));
+  EXPECT_LE(inj.record_capacity(), 2u);
+  EXPECT_LE(engine_.stats().pool_capacity, 2u);
 }
 
 TEST_F(InjectorTest, LinkOutageTogglesTheLink) {
