@@ -29,7 +29,7 @@
 #include "polaris/des/engine.hpp"
 #include "polaris/des/task.hpp"
 #include "polaris/fabric/network.hpp"
-#include "polaris/fabric/reference.hpp"
+#include "polaris/oracles/reference_network.hpp"
 #include "polaris/support/table.hpp"
 #include "report.hpp"
 

@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "polaris/msg/reference_matcher.hpp"
 #include "polaris/msg/tag_matcher.hpp"
+#include "polaris/oracles/reference_matcher.hpp"
 #include "polaris/simrt/sim_world.hpp"
 #include "polaris/support/table.hpp"
 #include "report.hpp"

@@ -5,37 +5,16 @@
 #include <fstream>
 #include <thread>
 
+#include "polaris/support/json_escape.hpp"
+
 namespace polaris::bench {
 
 namespace {
 
 void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+  std::string body;
+  support::append_json_escaped(body, s);
+  os << '"' << body << '"';
 }
 
 void write_number(std::ostream& os, double v) {

@@ -10,12 +10,13 @@
 //
 // The data path has two tiers, both exactly equivalent (to the simulated
 // nanosecond) to the original per-packet-coroutine + per-link-semaphore
-// model, which survives as fabric::ReferenceNetwork for proof.  The one
-// caveat: when two packets with different upstream histories arrive at a
-// shared link on the exact same tick, the models may break the tie in a
-// different (equally valid) FIFO order — the semaphore model orders by its
-// internal grant/release event sequence, this one by reservation event
-// order; simultaneous arrivals are unordered in the paper-level model, and
+// model, which survives for proof as fabric::ReferenceNetwork in the
+// polaris_oracles test library (tests/oracles).  The one caveat: when two
+// packets with different upstream histories arrive at a shared link on the
+// exact same tick, the models may break the tie in a different (equally
+// valid) FIFO order — the semaphore model orders by its internal
+// grant/release event sequence, this one by reservation event order;
+// simultaneous arrivals are unordered in the paper-level model, and
 // aggregate link occupancy is conserved either way.
 //
 //  - Tier 1, analytic bypass: when no other message is in flight on any

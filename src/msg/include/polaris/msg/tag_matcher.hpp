@@ -27,8 +27,9 @@
 // O(1) via a RecvId -> slot index.
 //
 // The original linear-scan implementation survives verbatim as
-// msg::ReferenceTagMatcher (reference_matcher.hpp); a randomized
-// equivalence suite proves decision-identical behaviour.
+// msg::ReferenceTagMatcher in the polaris_oracles test library
+// (tests/oracles); a randomized equivalence suite proves
+// decision-identical behaviour.
 #pragma once
 
 #include <algorithm>

@@ -2,14 +2,15 @@
 // at export.
 //
 // MetricsRegistry's Counter/Gauge are atomics (cross-thread but contended
-// under fan-in) and Histogram takes a mutex — fine at experiment scale,
-// too hot for 10^6-rank engines.  ShardedRegistry splits every metric into
-// per-shard plain (non-atomic) slots: a worker owns exactly one Shard and
-// updates it with ordinary loads/stores (an increment, a max, a
-// LogHistogram bucket bump — no locks, no cache-line ping-pong), and the
-// coordinator folds shards after the workers quiesce.  This replaces the
-// hand-rolled "vector of per-shard LogHistogram pointers +
-// LogHistogram::merge" pattern that pdes and serve each grew on their own.
+// under fan-in) and its LogHistogram admits one writer only — fine at
+// experiment scale, not for 10^6-rank engines with many workers.
+// ShardedRegistry splits every metric into per-shard plain (non-atomic)
+// slots: a worker owns exactly one Shard and updates it with ordinary
+// loads/stores (an increment, a max, a LogHistogram bucket bump — no
+// locks, no cache-line ping-pong), and the coordinator folds shards after
+// the workers quiesce.  This replaces the hand-rolled "vector of per-shard
+// LogHistogram pointers + LogHistogram::merge" pattern that pdes and serve
+// each grew on their own.
 //
 // Lifecycle contract:
 //  1. Register metrics (counter/gauge_max/log_histogram) single-threaded,

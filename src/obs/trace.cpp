@@ -8,6 +8,7 @@
 
 #include "polaris/support/check.hpp"
 #include "polaris/support/hash.hpp"
+#include "polaris/support/json_escape.hpp"
 
 namespace polaris::obs {
 
@@ -258,36 +259,6 @@ Tracer::Stats Tracer::stats() const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Microsecond timestamp with nanosecond precision kept as a fraction.
 std::string format_us(std::int64_t ns) {
   char buf[32];
@@ -301,7 +272,7 @@ std::string format_us(std::int64_t ns) {
 void write_metadata(std::ostream& os, const char* what, int pid, int tid,
                     const std::string& value, int sort_index, bool* first) {
   std::string name;
-  append_escaped(name, value);
+  support::append_json_escaped(name, value);
   if (!*first) os << ",\n";
   *first = false;
   os << R"({"ph":"M","pid":)" << pid;
@@ -321,9 +292,9 @@ void write_metadata(std::ostream& os, const char* what, int pid, int tid,
 void write_event(std::ostream& os, const TraceEvent& ev, int pid, int tid,
                  bool* first) {
   std::string name, cat;
-  append_escaped(name, ev.name);
-  append_escaped(cat, ev.category.empty() ? std::string("polaris")
-                                          : ev.category);
+  support::append_json_escaped(name, ev.name);
+  support::append_json_escaped(
+      cat, ev.category.empty() ? std::string("polaris") : ev.category);
   if (!*first) os << ",\n";
   *first = false;
   switch (ev.kind) {

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "polaris/support/check.hpp"
+#include "polaris/support/json_escape.hpp"
 
 namespace polaris::scenario {
 namespace {
@@ -196,33 +197,7 @@ class Parser {
 
 void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  support::append_json_escaped(out, s);
   out.push_back('"');
 }
 

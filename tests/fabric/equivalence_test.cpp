@@ -16,7 +16,7 @@
 
 #include "polaris/des/task.hpp"
 #include "polaris/fabric/network.hpp"
-#include "polaris/fabric/reference.hpp"
+#include "polaris/oracles/reference_network.hpp"
 
 namespace polaris::fabric {
 namespace {

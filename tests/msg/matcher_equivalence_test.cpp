@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "polaris/msg/reference_matcher.hpp"
 #include "polaris/msg/tag_matcher.hpp"
+#include "polaris/oracles/reference_matcher.hpp"
 #include "polaris/support/rng.hpp"
 
 namespace polaris::msg {
