@@ -103,7 +103,7 @@ class Engine {
 
   /// Schedules `h.resume()` at now() + dt: a raw event on the handle's
   /// address through the one shared resume callback.  Every coroutine
-  /// wakeup (delay, Trigger, Mailbox, Semaphore, OneShotEvent) takes it.
+  /// wakeup in `des` (delay, yield, OneShotEvent) takes it.
   EventId schedule_resume_after(SimTime dt, std::coroutine_handle<> h) {
     return schedule_raw_at(now_ + dt, &resume_handle, h.address());
   }

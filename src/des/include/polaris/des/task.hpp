@@ -7,11 +7,14 @@
 // to Engine::spawn(), which drives them as detached processes.
 //
 // Tasks themselves carry no engine reference: anything that needs simulated
-// time (delays, triggers, mailboxes) takes the Engine explicitly.
+// time (delays, one-shot events) takes the Engine explicitly.  One class
+// template covers every result type; Task<void> differs only in its
+// promise's return channel and in await_resume returning nothing.
 #pragma once
 
 #include <coroutine>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "polaris/des/engine.hpp"
@@ -44,73 +47,28 @@ struct PromiseBase {
   void unhandled_exception() { error = std::current_exception(); }
 };
 
-}  // namespace detail
-
-template <typename T = void>
-class [[nodiscard]] Task;
-
+/// The promise's return channel: a value slot for Task<T>, none for
+/// Task<void>.
 template <typename T>
-class [[nodiscard]] Task {
- public:
-  struct promise_type : detail::PromiseBase {
-    T value{};
-
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_value(T v) { value = std::move(v); }
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<typename Task::promise_type> h)
-      : handle_(h) {}
-  Task(Task&& other) noexcept
-      : handle_(std::exchange(other.handle_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  bool valid() const { return handle_ != nullptr; }
-
-  // -- awaitable interface --------------------------------------------------
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
-    POLARIS_CHECK_MSG(handle_ && !handle_.done(), "awaiting an empty task");
-    handle_.promise().continuation = awaiter;
-    return handle_;  // start the child (symmetric transfer)
-  }
-  T await_resume() {
-    auto& p = handle_.promise();
-    if (p.error) std::rethrow_exception(p.error);
-    return std::move(p.value);
-  }
-
- private:
-  void destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> handle_;
+struct ReturnSlot {
+  T value{};
+  void return_value(T v) { value = std::move(v); }
 };
 
 template <>
-class [[nodiscard]] Task<void> {
+struct ReturnSlot<void> {
+  void return_void() {}
+};
+
+}  // namespace detail
+
+template <typename T = void>
+class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
+  struct promise_type : detail::PromiseBase, detail::ReturnSlot<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    void return_void() {}
   };
 
   Task() = default;
@@ -128,17 +86,17 @@ class [[nodiscard]] Task<void> {
   Task& operator=(const Task&) = delete;
   ~Task() { destroy(); }
 
-  bool valid() const { return handle_ != nullptr; }
-
+  // -- awaitable interface --------------------------------------------------
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
     POLARIS_CHECK_MSG(handle_ && !handle_.done(), "awaiting an empty task");
     handle_.promise().continuation = awaiter;
-    return handle_;
+    return handle_;  // start the child (symmetric transfer)
   }
-  void await_resume() {
+  T await_resume() {
     auto& p = handle_.promise();
     if (p.error) std::rethrow_exception(p.error);
+    if constexpr (!std::is_void_v<T>) return std::move(p.value);
   }
 
  private:

@@ -44,7 +44,7 @@
 // does not justify a std::list + unordered_map's allocations): a transfer
 // to a destination without an established light path first pays the
 // reconfiguration delay.  Setup is modelled optimistically (concurrent
-// transfers to the same destination wait only once); see ensure_circuit().
+// transfers to the same destination wait only once); see circuit_ready().
 //
 // Host-side overheads (o_send, o_recv, gap, copies, registration) are NOT
 // applied here — they belong to the messaging layer (polaris::msg), which
@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "polaris/des/engine.hpp"
-#include "polaris/des/task.hpp"
 #include "polaris/fabric/params.hpp"
 #include "polaris/fabric/topology.hpp"
 #include "polaris/obs/trace.hpp"
@@ -153,15 +152,45 @@ class SimNetwork {
   /// when a fault kills the message — see XferStatus).  Self-transfers cost
   /// one host copy.  Zero-byte transfers pay propagation (and circuit
   /// setup) only — no serialization.  Does not include host overheads.
-  des::Task<XferStatus> transfer(NodeId src, NodeId dst, std::uint64_t bytes);
-
-  /// Raw-callback form of transfer() for allocation-free callers (e.g. the
-  /// simrt eager delivery chain): identical event sequence and simulated
-  /// timing, but completion invokes `done(ctx, status)` at the exact point
-  /// the coroutine form would have resumed — no coroutine frame is created.
-  /// `ctx` must stay valid until `done` fires.
+  /// Completion invokes `done(ctx, status)`; `ctx` must stay valid until
+  /// then.  The one data path: transfer() below is a thin awaiter over it.
   void transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes, DoneFn done,
                     void* ctx);
+
+  /// Awaiter of transfer(): suspends and runs transfer_raw() with itself as
+  /// the completion context, resuming the awaiting coroutine inside the
+  /// completion event.  A self-transfer on a downed node fails in
+  /// await_ready, without suspending or scheduling an event.
+  struct [[nodiscard]] TransferAwaiter {
+    SimNetwork& net;
+    NodeId src;
+    NodeId dst;
+    std::uint64_t bytes;
+    std::coroutine_handle<> handle{};
+    XferStatus status = XferStatus::kOk;
+
+    bool await_ready() {
+      if (!net.refuse_self_copy(src, dst, bytes)) return false;
+      status = XferStatus::kNodeDown;
+      return true;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle = h;
+      net.transfer_raw(src, dst, bytes, &resume_cb, this);
+    }
+    XferStatus await_resume() const noexcept { return status; }
+
+    static void resume_cb(void* ctx, XferStatus s) {
+      auto& self = *static_cast<TransferAwaiter*>(ctx);
+      self.status = s;
+      self.handle.resume();
+    }
+  };
+
+  /// Coroutine form: `XferStatus st = co_await net.transfer(src, dst, n);`
+  TransferAwaiter transfer(NodeId src, NodeId dst, std::uint64_t bytes) {
+    return TransferAwaiter{*this, src, dst, bytes};
+  }
 
   // -- fault injection --------------------------------------------------------
   // Disabled by default: the checks below compile to one untaken branch per
@@ -249,9 +278,8 @@ class SimNetwork {
   };
 
   // -- tier 1: analytic flights ----------------------------------------------
-  // Both tiers complete through a raw (fn, ctx) pair; the coroutine form of
-  // transfer() passes resume_handle_cb + its own handle, transfer_raw()
-  // passes the caller's callback straight through.
+  // Both tiers complete through the raw (fn, ctx) pair transfer_raw() was
+  // given (for transfer(), the awaiter's resume_cb and the awaiter).
   struct Flight {
     SimNetwork* net = nullptr;
     const std::vector<LinkId>* path = nullptr;  // borrowed from Topology cache
@@ -304,28 +332,12 @@ class SimNetwork {
     XferStatus status = XferStatus::kOk;
   };
 
-  /// Awaits message delivery; suspension injects the message with the
-  /// awaiter itself as the completion context, which stores the status
-  /// before resuming the coroutine.
-  struct InjectAwaiter {
-    SimNetwork& net;
-    NodeId src;
-    NodeId dst;
-    std::uint64_t bytes;
-    std::coroutine_handle<> handle{};
-    XferStatus status = XferStatus::kOk;
+  /// Counts a self-transfer on a downed node as sent and dropped and
+  /// returns true; returns false, counting nothing, for any other transfer.
+  bool refuse_self_copy(NodeId src, NodeId dst, std::uint64_t bytes);
 
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      net.inject(src, dst, bytes, &resume_awaiter_cb, this);
-    }
-    XferStatus await_resume() const noexcept { return status; }
-  };
-
-  /// Post-circuit injection shared by both transfer forms: path selection,
-  /// fault check, packet planning, flight materialization, idle-path test,
-  /// then tier dispatch.
+  /// Post-circuit injection: path selection, fault check, packet planning,
+  /// flight materialization, idle-path test, then tier dispatch.
   void inject(NodeId src, NodeId dst, std::uint64_t bytes, DoneFn done,
               void* ctx);
 
@@ -358,7 +370,6 @@ class SimNetwork {
 
   static void flight_complete_cb(void* ctx);
   static void walker_arrive_cb(void* ctx);
-  static void resume_awaiter_cb(void* ctx, XferStatus status);
   static void raw_setup_done_cb(void* ctx);
   static void deliver_status_cb(void* ctx);
 
@@ -369,7 +380,7 @@ class SimNetwork {
   RawTransfer& acquire_raw();
   void release_raw(std::uint32_t slot);
 
-  /// Circuit-cache lookup shared by both transfer forms: true on a hit
+  /// Circuit-cache lookup: true on a hit
   /// (stats/trace recorded); on a miss records the setup span and installs
   /// the circuit optimistically — the caller pays params_.circuit_setup
   /// before injecting.
@@ -378,8 +389,6 @@ class SimNetwork {
   /// Serialization occupancy bookkeeping shared by both tiers.
   void credit_link(LinkId l, des::SimTime start, des::SimTime ser,
                    std::uint32_t span_packets);
-
-  des::Task<void> ensure_circuit(NodeId src, NodeId dst);
 
   /// Lazily-created trace track of a link (only called when tracer_ set).
   obs::TrackId link_track(LinkId id);

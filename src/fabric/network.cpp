@@ -59,44 +59,29 @@ SimNetwork::PacketPlan SimNetwork::plan_packets(std::uint64_t bytes) const {
   return plan;
 }
 
-des::Task<XferStatus> SimNetwork::transfer(NodeId src, NodeId dst,
-                                           std::uint64_t bytes) {
+bool SimNetwork::refuse_self_copy(NodeId src, NodeId dst,
+                                  std::uint64_t bytes) {
   POLARIS_CHECK(src < topo_.node_count() && dst < topo_.node_count());
+  if (src != dst || node_up(src)) return false;
   ++stats_.messages;
   stats_.bytes += bytes;
-
-  if (src == dst) {
-    if (faults_enabled_ && node_down_[src] != 0) {
-      ++stats_.messages_dropped;
-      co_return XferStatus::kNodeDown;
-    }
-    // Intra-node: one host copy.
-    const double t = static_cast<double>(bytes) / params_.copy_bw;
-    co_await des::delay(engine_, des::from_seconds(t));
-    co_return XferStatus::kOk;
-  }
-
-  if (params_.circuit_setup > 0.0) {
-    co_await ensure_circuit(src, dst);
-  }
-
-  co_return co_await InjectAwaiter{*this, src, dst, bytes};
+  ++stats_.messages_dropped;
+  return true;
 }
 
 void SimNetwork::transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes,
                               DoneFn done, void* ctx) {
-  POLARIS_CHECK(src < topo_.node_count() && dst < topo_.node_count());
+  if (refuse_self_copy(src, dst, bytes)) {
+    // One zero-delay event, so `done` never runs inside this call.
+    // (transfer() fails this case in await_ready instead, with no event.)
+    deliver_async(done, ctx, XferStatus::kNodeDown);
+    return;
+  }
   ++stats_.messages;
   stats_.bytes += bytes;
 
   if (src == dst) {
-    if (faults_enabled_ && node_down_[src] != 0) {
-      ++stats_.messages_dropped;
-      deliver_async(done, ctx, XferStatus::kNodeDown);
-      return;
-    }
-    // Intra-node: one host copy — one event, as the coroutine form's
-    // delay would have scheduled.
+    // Intra-node: one host copy, one event.
     const double t = static_cast<double>(bytes) / params_.copy_bw;
     RawTransfer& rt = acquire_raw();
     rt.done = done;
@@ -107,8 +92,8 @@ void SimNetwork::transfer_raw(NodeId src, NodeId dst, std::uint64_t bytes,
   }
 
   if (params_.circuit_setup > 0.0 && !circuit_ready(src, dst)) {
-    // Park behind the reconfiguration delay in a pooled record, then
-    // inject — the same single event ensure_circuit() awaits on a miss.
+    // Park behind the reconfiguration delay in a pooled record (one
+    // event), then inject.
     RawTransfer& rt = acquire_raw();
     rt.src = src;
     rt.dst = dst;
@@ -562,12 +547,6 @@ void SimNetwork::credit_link(LinkId l, des::SimTime begin, des::SimTime ser,
   }
 }
 
-void SimNetwork::resume_awaiter_cb(void* ctx, XferStatus status) {
-  auto& awaiter = *static_cast<InjectAwaiter*>(ctx);
-  awaiter.status = status;
-  awaiter.handle.resume();
-}
-
 SimNetwork::Flight& SimNetwork::acquire_flight() {
   if (!flight_free_.empty()) {
     const std::uint32_t slot = flight_free_.back();
@@ -673,11 +652,6 @@ bool SimNetwork::circuit_ready(NodeId src, NodeId dst) {
   // pay setup once (optimistic: their data rides the path being set up).
   cache.insert(dst);
   return false;
-}
-
-des::Task<void> SimNetwork::ensure_circuit(NodeId src, NodeId dst) {
-  if (circuit_ready(src, dst)) co_return;
-  co_await des::delay(engine_, des::from_seconds(params_.circuit_setup));
 }
 
 // ------------------------------------------------------------------ queries

@@ -2,7 +2,7 @@
 //
 // Nonblocking operations post completion records here; the application (or
 // a progress thread) polls.  Used by the real threaded runtime; the
-// simulated runtime completes through coroutine triggers instead.
+// simulated runtime completes through des::OneShotEvents instead.
 #pragma once
 
 #include <cstdint>

@@ -162,6 +162,21 @@ class TagMatcher {
     return true;
   }
 
+  /// Removes the unexpected (src, tag) message carrying `cookie`; false if
+  /// none is queued.  Linear in that pair's queue.
+  bool withdraw(int src, int tag, const Cookie& cookie) {
+    const Bucket* b = unexp_buckets_.find(pack(src, tag));
+    for (std::uint32_t s = b ? b->head : kNil; s != kNil;
+         s = unexp_nodes_[s].next[0]) {
+      if (unexp_nodes_[s].env.cookie == cookie) {
+        unlink_unexpected(s);
+        --unexpected_live_;
+        return true;
+      }
+    }
+    return false;
+  }
+
   /// Non-destructive probe: the oldest unexpected message matching
   /// (src, tag), or nullptr.  The view is valid until the next mutation.
   const EnvelopeT* probe(int src, int tag) const {

@@ -137,7 +137,9 @@ class LogHistogram {
   double quantile(double q) const { return percentile(q * 100.0); }
 
   /// Percentile estimate (p in [0, 100]): cumulative walk to the target
-  /// rank, linear interpolation inside the landing bucket.
+  /// rank, linear interpolation inside the landing bucket, clamped to the
+  /// observed [min(), max()] (the extreme buckets are wider than the
+  /// values that landed in them).
   double percentile(double p) const {
     if (count_ == 0) return 0.0;
     const double rank = p / 100.0 * static_cast<double>(count_);
@@ -149,8 +151,10 @@ class LogHistogram {
         // counts_[i] > 0 here: empty buckets were skipped above.
         const double into = (rank - static_cast<double>(seen)) /
                             static_cast<double>(counts_[i]);
-        return static_cast<double>(bucket_floor(i)) +
-               into * static_cast<double>(bucket_width(i));
+        return std::clamp(static_cast<double>(bucket_floor(i)) +
+                              into * static_cast<double>(bucket_width(i)),
+                          static_cast<double>(min_),
+                          static_cast<double>(max_));
       }
       seen = next;
     }

@@ -35,7 +35,9 @@ class Json {
 
   Json() = default;
 
-  /// Parses one JSON document (trailing whitespace allowed, nothing else).
+  /// Parses one JSON document (trailing whitespace allowed, nothing else;
+  /// at most 256 levels of nested containers).  `text` need not be
+  /// NUL-terminated.
   static Json parse(std::string_view text);
 
   // -- builders (tests, spec mutation) ---------------------------------------

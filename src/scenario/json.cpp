@@ -56,9 +56,14 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // Bounded recursion: a hostile document cannot exhaust the stack.
+        if (depth_ == kMaxDepth) fail("nesting deeper than 256 levels");
+        ++depth_;
+        Json v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json::string(string_body());
       case 't':
@@ -183,16 +188,22 @@ class Parser {
   }
 
   Json number() {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("expected a value");
-    pos_ += static_cast<std::size_t>(end - begin);
+    // strtod reads up to a NUL, and the view need not have one: hand it a
+    // copy of the token, which ends at the first JSON delimiter.
+    const std::string token(
+        text_.substr(pos_, text_.find_first_of(",:]} \t\n\r\"", pos_) - pos_));
+    char* stop = nullptr;
+    const double v = std::strtod(token.c_str(), &stop);
+    if (stop == token.c_str()) fail("expected a value");
+    pos_ += static_cast<std::size_t>(stop - token.c_str());
     return Json::number(v);
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void dump_string(const std::string& s, std::string& out) {

@@ -9,73 +9,48 @@
 namespace polaris::scenario {
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void append_check(const CheckOutcome& c, bool monitor, std::string& out) {
-  out += "{\"name\":";
-  out += Json::string(c.name).dump();
-  out += ",\"passed\":";
-  out += c.passed ? "true" : "false";
+Json check_json(const CheckOutcome& c, bool monitor) {
+  Json j = Json::object();
+  j.set("name", Json::string(c.name));
+  j.set("passed", Json::boolean(c.passed));
   if (monitor) {
-    out += ",\"checks\":";
-    out += std::to_string(c.checks);
-    out += ",\"violations\":";
-    out += std::to_string(c.violations);
-    out += ",\"first_violation_s\":";
-    out += fmt_double(c.first_violation_s);
+    j.set("checks", Json::number(static_cast<double>(c.checks)));
+    j.set("violations", Json::number(static_cast<double>(c.violations)));
+    j.set("first_violation_s", Json::number(c.first_violation_s));
   } else {
-    out += ",\"time_s\":";
-    out += fmt_double(c.time_s);
+    j.set("time_s", Json::number(c.time_s));
   }
-  out += "}";
+  return j;
 }
 
 }  // namespace
 
 std::string Verdict::to_json() const {
-  std::string out = "{";
-  out += "\"scenario\":";
-  out += Json::string(scenario).dump();
-  out += ",\"passed\":";
-  out += passed ? "true" : "false";
-  out += ",\"root\":\"";
-  out += to_string(root);
-  out += "\",\"monitors_clean\":";
-  out += monitors_clean ? "true" : "false";
-  out += ",\"ticks\":";
-  out += std::to_string(ticks);
-  out += ",\"end_time_s\":";
-  out += fmt_double(end_time_s);
-  out += ",\"trace_hash\":\"";
   char hex[24];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(trace_hash));
-  out += hex;
-  out += "\",\"trace_events\":";
-  out += std::to_string(trace_events);
-  out += ",\"asserts\":[";
-  for (std::size_t i = 0; i < asserts.size(); ++i) {
-    if (i) out += ",";
-    append_check(asserts[i], /*monitor=*/false, out);
+  // Counts are far below 2^53, so they print as exact integers.
+  Json j = Json::object();
+  j.set("scenario", Json::string(scenario));
+  j.set("passed", Json::boolean(passed));
+  j.set("root", Json::string(to_string(root)));
+  j.set("monitors_clean", Json::boolean(monitors_clean));
+  j.set("ticks", Json::number(static_cast<double>(ticks)));
+  j.set("end_time_s", Json::number(end_time_s));
+  j.set("trace_hash", Json::string(hex));
+  j.set("trace_events", Json::number(static_cast<double>(trace_events)));
+  Json checks = Json::array();
+  for (const CheckOutcome& c : asserts) checks.push(check_json(c, false));
+  j.set("asserts", std::move(checks));
+  checks = Json::array();
+  for (const CheckOutcome& c : monitors) checks.push(check_json(c, true));
+  j.set("monitors", std::move(checks));
+  Json samples = Json::object();
+  for (const auto& [name, value] : counters) {
+    samples.set(name, Json::number(value));
   }
-  out += "],\"monitors\":[";
-  for (std::size_t i = 0; i < monitors.size(); ++i) {
-    if (i) out += ",";
-    append_check(monitors[i], /*monitor=*/true, out);
-  }
-  out += "],\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i) out += ",";
-    out += Json::string(counters[i].first).dump();
-    out += ":";
-    out += fmt_double(counters[i].second);
-  }
-  out += "}}";
-  return out;
+  j.set("counters", std::move(samples));
+  return j.dump();
 }
 
 // -------------------------------------------------------------------- Expr

@@ -20,7 +20,7 @@
 //
 // Host-side hot path (simulated timing is bit-identical either way): every
 // message is a slab-pooled InFlight record addressed by slot+generation —
-// no shared_ptr, no per-message Trigger allocations (completion flags are
+// no shared_ptr, no per-message wakeup allocations (completion flags are
 // intrusive des::OneShotEvents), eager wire delivery runs as a raw-callback
 // chain through fabric::SimNetwork::transfer_raw (no spawned coroutine
 // frame), out-of-order network completions park in per-source ring buffers
@@ -136,6 +136,7 @@ struct InFlight {
 struct InFlightId {
   std::uint32_t slot = kNilSlot;
   std::uint32_t gen = 0;
+  bool operator==(const InFlightId&) const = default;
 };
 
 /// Name ids for every hot span/instant SimComm records, interned once in
@@ -314,7 +315,7 @@ class SimComm {
   /// Current simulated time in seconds.
   double now() const;
 
-  /// The world's event engine (for advanced composition: triggers,
+  /// The world's event engine (for advanced composition: one-shot events,
   /// spawning helper processes).
   des::Engine& engine();
 

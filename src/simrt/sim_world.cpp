@@ -284,11 +284,19 @@ des::Task<SimStatus> SimComm::send_rendezvous(detail::InFlight& f,
     co_await f.matched.wait();
     eng.cancel(f.sync_timeout);
     if (f.status != SimStatus::kOk) {
-      // Declared dead before posting its receive.  The envelope stays in
-      // the dead rank's matcher; its reference is stranded with it (a
-      // bounded leak, one record per abandoned handshake — see DESIGN.md).
+      // Declared dead before posting its receive.  No later receive may
+      // match the abandoned envelope: withdraw it from the dead rank's
+      // matcher and drop its reference, or tombstone it if still held out
+      // of order (the drain drops it).  A receive that already matched it
+      // owns that reference.
       world_->count_drop();
       const SimStatus st = f.status;
+      SimComm& peer = *f.dst_comm;
+      f.dropped = true;
+      if (f.seq < peer.expect_seq_[static_cast<std::size_t>(rank_)] &&
+          peer.matcher_.withdraw(rank_, f.tag, {f.slot, f.gen})) {
+        world_->release_inflight_ref(f.slot);
+      }
       world_->release_inflight_ref(f.slot);
       co_return st;
     }
@@ -498,7 +506,9 @@ des::Task<SimRecvStatus> SimComm::recv_impl(RecvTicket ticket) {
     if (reg > 0.0) co_await des::delay(eng, des::from_seconds(reg));
   }
   inf.matched.fire(eng);
-  co_await inf.delivered.wait();
+  // A failed status here means the sender abandoned the handshake while
+  // this receive was pinning its buffer: nothing will be delivered.
+  if (inf.status == SimStatus::kOk) co_await inf.delivered.wait();
   wait_span.end();
 
   if (inf.status != SimStatus::kOk) {
@@ -752,21 +762,21 @@ des::Task<SimStatus> SimComm::run_schedule(const coll::Schedule& schedule,
     if (step.has_send() && step.has_recv()) {
       // Post both concurrently (MPI_Sendrecv) and join.
       std::uint32_t remaining = 2;
-      des::Trigger done(eng);
+      des::OneShotEvent done;
       SimStatus send_st = SimStatus::kOk;
       SimRecvStatus recv_st;
       eng.spawn([](SimComm& c, const coll::CommStep& s,
                    std::size_t eb, std::uint32_t& rem,
-                   des::Trigger& trig, SimStatus& out) -> des::Task<void> {
+                   des::OneShotEvent& ev, SimStatus& out) -> des::Task<void> {
         out = co_await c.send(s.send_peer, kCollTag,
                               static_cast<std::uint64_t>(s.send_count) * eb);
-        if (--rem == 0) trig.fire();
+        if (--rem == 0) ev.fire(c.engine());
       }(*this, step, elem_bytes, remaining, done, send_st));
       eng.spawn([](SimComm& c, const coll::CommStep& s, std::uint32_t& rem,
-                   des::Trigger& trig,
+                   des::OneShotEvent& ev,
                    SimRecvStatus& out) -> des::Task<void> {
         out = co_await c.recv(s.recv_peer, kCollTag);
-        if (--rem == 0) trig.fire();
+        if (--rem == 0) ev.fire(c.engine());
       }(*this, step, remaining, done, recv_st));
       co_await done.wait();
       if (send_st != SimStatus::kOk) {

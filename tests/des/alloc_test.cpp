@@ -1,19 +1,17 @@
 // Steady-state allocation checks for the event core.
 //
 // Coroutine wakeups are raw resume events, so once the engine's node pool
-// has warmed up, a delay, a Trigger round trip or a Mailbox round trip must
-// not touch the allocator.  This binary counts every global operator new
-// (the odometer bench_d7_obs uses) and brackets a window of round trips
-// with two reads of the counter; it lives apart from test_des so no other
-// test runs under the replaced operator new.
+// has warmed up, a delay or a OneShotEvent round trip must not touch the
+// allocator.  This binary counts every global operator new (the odometer
+// bench_d7_obs uses) and brackets a window of round trips with two reads
+// of the counter; it lives apart from test_des so no other test runs under
+// the replaced operator new.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <new>
-#include <vector>
 
 #include "polaris/des/engine.hpp"
 #include "polaris/des/sync.hpp"
@@ -68,58 +66,33 @@ TEST(EventCoreAllocs, DelayRoundTripsAllocateNothing) {
   EXPECT_EQ(e.live_processes(), 0u);
 }
 
-Task<void> await_each(std::vector<std::unique_ptr<Trigger>>& triggers,
-                      int& woken) {
-  for (auto& t : triggers) {
-    co_await *t;
+Task<void> await_each(OneShotEvent& ev, int rounds, int& woken) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await ev.wait();
     ++woken;
+    ev.reset();
   }
 }
 
-Task<void> fire_each(Engine& e,
-                     std::vector<std::unique_ptr<Trigger>>& triggers) {
-  for (auto& t : triggers) {
+Task<void> fire_each(Engine& e, OneShotEvent& ev, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
     co_await delay(e, 1);
-    t->fire();
+    ev.fire(e);
   }
 }
 
-TEST(EventCoreAllocs, TriggerRoundTripsAllocateNothing) {
+TEST(EventCoreAllocs, OneShotEventRoundTripsAllocateNothing) {
   Engine e;
-  // A Trigger is one-shot: every round trip gets its own, built up front.
-  std::vector<std::unique_ptr<Trigger>> triggers;
-  for (int i = 0; i < kWarm + kWindow + 10; ++i) {
-    triggers.push_back(std::make_unique<Trigger>(e));
-  }
-  int woken = 0;
-  e.spawn(await_each(triggers, woken));
-  e.spawn(fire_each(e, triggers));
-  EXPECT_EQ(window_allocs(e), 0u);
-  e.run();
-  EXPECT_EQ(woken, kWarm + kWindow + 10);
-}
-
-Task<void> consume(Mailbox<int>& mb, int n, std::int64_t& sum) {
-  for (int i = 0; i < n; ++i) sum += co_await mb.get();
-}
-
-Task<void> produce(Engine& e, Mailbox<int>& mb, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await delay(e, 1);
-    mb.push(i);
-  }
-}
-
-TEST(EventCoreAllocs, MailboxRoundTripsAllocateNothing) {
-  Engine e;
-  Mailbox<int> mb(e);
+  // One pooled event, rearmed with reset() after every wakeup, as the
+  // simrt in-flight slab reuses its records.
+  OneShotEvent ev;
   constexpr int kRounds = kWarm + kWindow + 10;
-  std::int64_t sum = 0;
-  e.spawn(consume(mb, kRounds, sum));
-  e.spawn(produce(e, mb, kRounds));
+  int woken = 0;
+  e.spawn(await_each(ev, kRounds, woken));
+  e.spawn(fire_each(e, ev, kRounds));
   EXPECT_EQ(window_allocs(e), 0u);
   e.run();
-  EXPECT_EQ(sum, std::int64_t{kRounds} * (kRounds - 1) / 2);
+  EXPECT_EQ(woken, kRounds);
 }
 
 }  // namespace

@@ -152,6 +152,45 @@ TEST(FaultRecovery, RecoveredPeerCompletesAfterRetries) {
   EXPECT_TRUE(injector.node_up(1));
 }
 
+TEST(FaultRecovery, AbandonedRendezvousReturnsItsRecord) {
+  // The RTS lands at rank 1, whose node then dies.  The sender's
+  // match-wait deadline (0.05 s) finds the peer dead and abandons the
+  // handshake.  Rank 1 posts its receive either after that (the envelope
+  // queued in the dead rank's matcher must give its pooled InFlight record
+  // back and match nothing) or just before it, so that the sender gives up
+  // while the receive pins its landing buffer (the receive must fail, not
+  // wait forever for a payload nobody sends).
+  for (const double post_at : {0.2, 0.04995}) {
+    simrt::SimWorld world(4, fabric::fabrics::myrinet2000());
+    fault::Injector injector(world.engine(), world.network());
+    simrt::RetryPolicy policy;
+    policy.recv_timeout = 0.05;
+    world.enable_faults(injector, policy);
+    injector.schedule_node_crash(/*at=*/0.001, /*node=*/1);  // permanent
+
+    simrt::SimStatus send_status = simrt::SimStatus::kOk;
+    simrt::SimRecvStatus late_recv;
+    world.launch([&](simrt::SimComm& c) -> des::Task<void> {
+      if (c.rank() == 0) {
+        send_status = co_await c.send(1, /*tag=*/7, 1 << 20);  // rendezvous
+      } else if (c.rank() == 1) {
+        co_await c.sleep(post_at);
+        late_recv = co_await c.recv(0, /*tag=*/7);
+      }
+      co_return;
+    });
+    world.run();
+
+    EXPECT_EQ(send_status, simrt::SimStatus::kPeerDown) << post_at;
+    EXPECT_EQ(late_recv.status, post_at > 0.05 ? simrt::SimStatus::kTimeout
+                                                : simrt::SimStatus::kPeerDown)
+        << post_at;
+    EXPECT_EQ(world.ranks_finished(), 4u) << post_at;
+    EXPECT_EQ(world.msg_drops(), 1u) << post_at;
+    EXPECT_EQ(world.inflight_in_use(), 0u) << post_at;
+  }
+}
+
 TEST(FaultTimeline, UntilAndNextDescribeTheSameStream) {
   const fault::FailureModel model = fault::FailureModel::exponential(3600.0);
   fault::FailureTimeline a(model, 64, /*seed=*/42);

@@ -31,6 +31,7 @@
 #include "polaris/fabric/network.hpp"
 #include "polaris/fabric/params.hpp"
 #include "polaris/fabric/topology.hpp"
+#include "polaris/oracles/semaphore.hpp"
 
 namespace polaris::fabric {
 

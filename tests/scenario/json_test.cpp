@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "polaris/support/check.hpp"
 
@@ -80,6 +81,14 @@ TEST(ScenarioJson, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("tru"), support::ContractViolation);
   EXPECT_THROW(Json::parse(R"({"a": 1} trailing)"),
                support::ContractViolation);
+}
+
+TEST(ScenarioJson, ReadsNoByteOutsideTheView) {
+  // A view ending inside a number: the digits after it are not the
+  // document's, so the number is 12 and nothing trails it.
+  const std::string buf = "12345";
+  EXPECT_DOUBLE_EQ(Json::parse(std::string_view(buf).substr(0, 2)).num(),
+                   12.0);
 }
 
 TEST(ScenarioJson, TypeMismatchesFailLoudly) {
